@@ -95,11 +95,10 @@ std::vector<std::pair<ChunkId, Descriptor>> DescriptorCache::DirtyEntries(
   return out;
 }
 
-std::vector<PartitionId> DescriptorCache::DirtyPartitions(
-    uint8_t height) const {
+std::vector<PartitionId> DescriptorCache::DirtyPartitions() const {
   std::vector<PartitionId> out;
   for (const auto& [id, entry] : entries_) {
-    if (entry.dirty && id.position.height == height) {
+    if (entry.dirty) {
       out.push_back(id.partition);
     }
   }

@@ -46,8 +46,8 @@ class DescriptorCache {
   std::vector<std::pair<ChunkId, Descriptor>> DirtyEntries(
       PartitionId partition, uint8_t height) const;
 
-  // Partitions that currently have dirty entries at the given height.
-  std::vector<PartitionId> DirtyPartitions(uint8_t height) const;
+  // Partitions that currently have dirty entries, at any height.
+  std::vector<PartitionId> DirtyPartitions() const;
 
  private:
   struct Entry {

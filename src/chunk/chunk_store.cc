@@ -1085,22 +1085,48 @@ Status ChunkStore::MaterializeTree(PartitionId partition) {
   std::vector<std::pair<ChunkId, Descriptor>> pending =
       cache_.DirtyEntries(partition, 0);
   uint8_t target_height = PartitionLeader::HeightFor(leader.num_positions);
-  if (pending.empty() && leader.tree_height == target_height) {
+  uint8_t old_height = leader.tree_height;
+  uint8_t top = std::max<uint8_t>(target_height, old_height);
+  // The cleaner moves map chunks too, leaving dirty descriptors above height
+  // 0. Their parents must be rewritten like those of dirty data chunks;
+  // otherwise the persisted tree keeps pointing into the cleaned segment,
+  // which is reused after this checkpoint.
+  std::vector<std::vector<std::pair<ChunkId, Descriptor>>> moved(top + 1);
+  size_t moved_left = 0;
+  for (uint8_t h = 1; h <= top; ++h) {
+    moved[h] = cache_.DirtyEntries(partition, h);
+    moved_left += moved[h].size();
+  }
+  if (pending.empty() && moved_left == 0 && old_height == target_height) {
     return OkStatus();
   }
   std::vector<ChunkId> to_mark_clean;
-  to_mark_clean.reserve(pending.size());
+  to_mark_clean.reserve(pending.size() + moved_left);
   for (const auto& [id, _] : pending) {
     to_mark_clean.push_back(id);
   }
-
-  uint8_t old_height = leader.tree_height;
-  uint8_t top = std::max<uint8_t>(target_height, old_height);
   if (top == 0) {
     return OkStatus();  // empty partition, nothing to persist
   }
+  // Adds the moved map chunks of height `h` that no rewrite superseded to
+  // the children pending for the next level up.
+  auto add_moved = [&](uint8_t h) {
+    for (const auto& [id, desc] : moved[h]) {
+      bool rewritten = std::any_of(
+          pending.begin(), pending.end(),
+          [&id](const auto& p) { return p.first == id; });
+      if (!rewritten) {
+        pending.emplace_back(id, desc);
+        to_mark_clean.push_back(id);
+      }
+    }
+    moved_left -= moved[h].size();
+  };
 
   for (uint8_t h = 1; h <= top; ++h) {
+    if (h >= 2) {
+      add_moved(h - 1);
+    }
     // Splice the old root into its new parent when the tree grows.
     if (old_height >= 1 && h == old_height + 1 && leader.root.written()) {
       bool overridden = false;
@@ -1115,7 +1141,10 @@ Status ChunkStore::MaterializeTree(PartitionId partition) {
       }
     }
     if (pending.empty()) {
-      break;
+      if (moved_left == 0) {
+        break;
+      }
+      continue;
     }
     // Group pending child descriptors by parent map chunk rank.
     std::map<uint64_t, std::vector<std::pair<ChunkId, Descriptor>>> by_parent;
@@ -1173,6 +1202,7 @@ Status ChunkStore::MaterializeTree(PartitionId partition) {
     }
   }
 
+  add_moved(top);
   if (pending.size() == 1) {
     leader.root = pending[0].second;
     leader.tree_height = top;
@@ -1203,7 +1233,7 @@ Status ChunkStore::CheckpointLocked() {
   }
 
   // 1. Materialize every user partition with buffered descriptors.
-  for (PartitionId p : cache_.DirtyPartitions(0)) {
+  for (PartitionId p : cache_.DirtyPartitions()) {
     if (p != kSystemPartition) {
       TDB_RETURN_IF_ERROR(MaterializeTree(p));
     }

@@ -18,7 +18,6 @@
 #ifndef SRC_COMMON_SHARDED_CACHE_H_
 #define SRC_COMMON_SHARDED_CACHE_H_
 
-#include <algorithm>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -56,12 +55,17 @@ class ShardedLruCache {
   };
 
   // `capacity` is the total entry budget across all shards (0 disables the
-  // cache entirely); `shards` must be a power of two, or 0 for the default.
+  // cache entirely); `shards` is rounded up to a power of two, 0 meaning the
+  // default. The cache never holds more than `capacity` entries: when there
+  // are fewer entries than shards, it uses fewer shards.
   ShardedLruCache(size_t capacity, size_t shards, Metrics metrics)
       : metrics_(metrics) {
     size_t n = shards != 0 ? NextPow2(shards) : DefaultCacheShards();
+    while (n > 1 && n > capacity) {
+      n >>= 1;
+    }
     shard_mask_ = n - 1;
-    per_shard_capacity_ = capacity == 0 ? 0 : std::max<size_t>(1, capacity / n);
+    per_shard_capacity_ = capacity / n;
     shards_ = std::vector<Shard>(n);
   }
 

@@ -9,9 +9,12 @@
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
+#include "src/crypto/kernels.h"
 
 namespace tdb {
 
+// Runs the AES-NI kernels when the CPU has them and the portable FIPS 197
+// code otherwise (see kernels.h); both give the same bytes.
 class Aes128 {
  public:
   static constexpr size_t kBlockSize = 16;
@@ -21,13 +24,19 @@ class Aes128 {
 
   void EncryptBlock(const uint8_t* in, uint8_t* out) const;
   void DecryptBlock(const uint8_t* in, uint8_t* out) const;
+  // CBC-decrypts `blocks` consecutive blocks: out[i] = D(in[i]) ^ in[i-1],
+  // with in[-1] = iv.
+  void DecryptCbc(const uint8_t* iv, const uint8_t* in, uint8_t* out,
+                  size_t blocks) const;
 
  private:
   Aes128() = default;
-  void ExpandKey(const uint8_t* key);
 
-  static constexpr int kRounds = 10;
-  uint8_t round_keys_[(kRounds + 1) * 16];
+  uint8_t round_keys_[kernels::kAes128ScheduleSize] = {};
+  // Set when the AES-NI kernels run; dec_keys_ then holds their decryption
+  // schedule.
+  bool hardware_ = false;
+  uint8_t dec_keys_[kernels::kAes128ScheduleSize] = {};
 };
 
 }  // namespace tdb

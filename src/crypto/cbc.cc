@@ -34,21 +34,44 @@ Bytes CbcCipher<BlockCipherT>::EncryptWithSeq(uint64_t seq,
   std::memcpy(counter_block, &seq, sizeof(seq) < b ? sizeof(seq) : b);
   block_.EncryptBlock(counter_block, out.data());  // IV = E_k(seq)
 
-  const uint8_t* prev = out.data();
-  uint8_t block[b];
+  uint8_t* body = out.data() + b;
+  if (!plaintext.empty()) {
+    std::memcpy(body, plaintext.data(), plaintext.size());
+  }
+  std::memset(body + plaintext.size(), static_cast<int>(pad), pad);
   for (size_t off = 0; off < padded_size; off += b) {
+    uint8_t* block = body + off;
     for (size_t i = 0; i < b; ++i) {
-      size_t idx = off + i;
-      uint8_t p = idx < plaintext.size() ? plaintext[idx]
-                                         : static_cast<uint8_t>(pad);
-      block[i] = static_cast<uint8_t>(p ^ prev[i]);
+      block[i] ^= block[i - b];  // the previous ciphertext block, or the IV
     }
-    uint8_t* dst = out.data() + b + off;
-    block_.EncryptBlock(block, dst);
-    prev = dst;
+    block_.EncryptBlock(block, block);
   }
   return out;
 }
+
+namespace {
+
+// CBC-decrypts `blocks` blocks that follow their IV in memory: out[i] =
+// D(in[i]) ^ in[i-1], with in[-1] = in - block size.
+template <typename BlockCipherT>
+void DecryptChain(const BlockCipherT& cipher, const uint8_t* in, uint8_t* out,
+                  size_t blocks) {
+  constexpr size_t b = BlockCipherT::kBlockSize;
+  for (size_t i = 0; i < blocks; ++i) {
+    cipher.DecryptBlock(in + i * b, out + i * b);
+    for (size_t j = 0; j < b; ++j) {
+      out[i * b + j] ^= in[i * b + j - b];
+    }
+  }
+}
+
+// AES-128 decrypts several blocks at once.
+void DecryptChain(const Aes128& cipher, const uint8_t* in, uint8_t* out,
+                  size_t blocks) {
+  cipher.DecryptCbc(in - Aes128::kBlockSize, in, out, blocks);
+}
+
+}  // namespace
 
 template <typename BlockCipherT>
 Result<Bytes> CbcCipher<BlockCipherT>::Decrypt(ByteView ciphertext) const {
@@ -57,15 +80,7 @@ Result<Bytes> CbcCipher<BlockCipherT>::Decrypt(ByteView ciphertext) const {
     return CorruptionError("CBC: ciphertext length not a multiple of block");
   }
   Bytes out(ciphertext.size() - b);
-  for (size_t off = b; off < ciphertext.size(); off += b) {
-    uint8_t dec[b];
-    block_.DecryptBlock(ciphertext.data() + off, dec);
-    const uint8_t* prev = ciphertext.data() + off - b;  // IV for first block
-    uint8_t* dst = out.data() + off - b;
-    for (size_t i = 0; i < b; ++i) {
-      dst[i] = static_cast<uint8_t>(dec[i] ^ prev[i]);
-    }
-  }
+  DecryptChain(block_, ciphertext.data() + b, out.data(), out.size() / b);
   // Strip PKCS#7 padding.
   uint8_t pad = out.back();
   if (pad == 0 || pad > b || pad > out.size()) {

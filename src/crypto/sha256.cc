@@ -2,24 +2,13 @@
 
 #include <cstring>
 
+#include "src/crypto/kernels.h"
+
 namespace tdb {
 
 namespace {
 
 inline uint32_t Rotr32(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
-
-constexpr uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 }  // namespace
 
@@ -38,10 +27,26 @@ void Sha256::Reset() {
   total_len_ = 0;
 }
 
-void Sha256::ProcessBlocks(const uint8_t* data, size_t n) {
+namespace kernels {
+
+alignas(16) const uint32_t kSha256RoundConstants[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+void Sha256BlocksPortable(uint32_t* state, const uint8_t* data, size_t n) {
+  // The chaining state stays in registers across blocks.
   uint32_t s[8];
-  for (int i = 0; i < 8; ++i) s[i] = h_[i];
-  for (size_t blk = 0; blk < n; ++blk, data += kBlockSize) {
+  for (int i = 0; i < 8; ++i) s[i] = state[i];
+  for (size_t blk = 0; blk < n; ++blk, data += Sha256::kBlockSize) {
     uint32_t w[64];
     for (int i = 0; i < 16; ++i) {
       w[i] = static_cast<uint32_t>(data[i * 4]) << 24 |
@@ -62,7 +67,7 @@ void Sha256::ProcessBlocks(const uint8_t* data, size_t n) {
     for (int i = 0; i < 64; ++i) {
       uint32_t s1 = Rotr32(e, 6) ^ Rotr32(e, 11) ^ Rotr32(e, 25);
       uint32_t ch = (e & f) ^ (~e & g);
-      uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      uint32_t temp1 = h + s1 + ch + kSha256RoundConstants[i] + w[i];
       uint32_t s0 = Rotr32(a, 2) ^ Rotr32(a, 13) ^ Rotr32(a, 22);
       uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
       uint32_t temp2 = s0 + maj;
@@ -84,7 +89,19 @@ void Sha256::ProcessBlocks(const uint8_t* data, size_t n) {
     s[6] += g;
     s[7] += h;
   }
-  for (int i = 0; i < 8; ++i) h_[i] = s[i];
+  for (int i = 0; i < 8; ++i) state[i] = s[i];
+}
+
+}  // namespace kernels
+
+void Sha256::ProcessBlocks(const uint8_t* data, size_t n) {
+#if TDB_CRYPTO_X86
+  if (kernels::HostCpuFeatures().sha) {
+    kernels::Sha256NiBlocks(h_, data, n);
+    return;
+  }
+#endif
+  kernels::Sha256BlocksPortable(h_, data, n);
 }
 
 void Sha256::Update(ByteView data) {

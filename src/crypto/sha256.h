@@ -27,8 +27,8 @@ class Sha256 {
  private:
   void Reset();
   void ProcessBlock(const uint8_t* block) { ProcessBlocks(block, 1); }
-  // Compresses `n` consecutive blocks, carrying the chaining state in
-  // registers across blocks instead of reloading h_ per block.
+  // Compresses `n` consecutive blocks with SHA-NI when the CPU has it and
+  // the portable kernel otherwise (see kernels.h).
   void ProcessBlocks(const uint8_t* data, size_t n);
 
   uint32_t h_[8];

@@ -48,17 +48,44 @@ Status LockManager::Acquire(uint64_t owner, const ChunkId& id, LockMode mode) {
         (held->second == LockMode::kExclusive || mode == LockMode::kShared)) {
       return true;  // already strong enough
     }
+    if (held == state.holders.end() && state.upgrader.has_value()) {
+      return false;  // a pending upgrade goes first
+    }
     if (Compatible(state, owner, mode)) {
       state.holders[owner] = mode;
       return true;
     }
     return false;
   };
+  // Ends this owner's pending upgrade, if it has one, and wakes the shared
+  // requesters queued behind it.
+  auto end_upgrade = [&]() {
+    if (state.upgrader == owner) {
+      state.upgrader.reset();
+      if (state.waiters > 0) {
+        cv_.notify_all();
+      }
+    }
+  };
 
   while (true) {
     if (try_grant()) {
+      end_upgrade();
       record(/*granted=*/true);
       return OkStatus();
+    }
+    if (mode == LockMode::kExclusive && state.holders.count(owner) > 0) {
+      if (!state.upgrader.has_value()) {
+        state.upgrader = owner;
+      } else if (*state.upgrader != owner) {
+        // The other upgrader waits for our shared lock as we would wait for
+        // its: fail now instead of at the timeout.
+        obs::Count("lock.upgrade_conflicts");
+        record(/*granted=*/false);
+        return TimeoutError("lock upgrade on " + id.ToString() +
+                            " conflicts with another upgrade (deadlock, "
+                            "transaction should abort)");
+      }
     }
     contended = true;
     ++state.waiters;
@@ -69,9 +96,11 @@ Status LockManager::Acquire(uint64_t owner, const ChunkId& id, LockMode mode) {
       // expired (the broadcast and the timeout race); grant rather than
       // fail spuriously if it is free now.
       if (try_grant()) {
+        end_upgrade();
         record(/*granted=*/true);
         return OkStatus();
       }
+      end_upgrade();
       // Deregister cleanly: if we were the last party interested in this
       // id, drop the now-empty state before surfacing the timeout.
       if (state.holders.empty() && state.waiters == 0) {
@@ -91,6 +120,9 @@ void LockManager::ReleaseAll(uint64_t owner) {
     for (auto it = locks_.begin(); it != locks_.end();) {
       if (it->second.holders.erase(owner) > 0 && it->second.waiters > 0) {
         wake = true;
+      }
+      if (it->second.upgrader == owner) {
+        it->second.upgrader.reset();
       }
       if (it->second.holders.empty() && it->second.waiters == 0) {
         it = locks_.erase(it);

@@ -7,7 +7,14 @@
 // (and garbage-collects an empty lock state) before returning kTimeout,
 // a release only broadcasts when someone is actually waiting, and
 // acquires/timeouts/wait latency are exported through the MetricsRegistry
-// (`lock.acquires`, `lock.contended`, `lock.timeouts`, `lock.wait_us`).
+// (`lock.acquires`, `lock.contended`, `lock.timeouts`, `lock.wait_us`,
+// `lock.upgrade_conflicts`).
+//
+// Upgrades (shared → exclusive by a holder) follow two rules, so that
+// read-then-write transactions on one hot object cannot livelock: while one
+// holder waits to upgrade, new shared requests queue behind it instead of
+// re-taking the lock, and a second holder asking to upgrade the same object
+// fails at once, since each would wait for the other's shared lock.
 
 #ifndef SRC_OBJECT_LOCK_MANAGER_H_
 #define SRC_OBJECT_LOCK_MANAGER_H_
@@ -16,6 +23,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "src/chunk/chunk_id.h"
@@ -31,7 +39,9 @@ class LockManager {
 
   // Blocks until the lock is granted or the timeout elapses (kTimeout).
   // Re-acquisition and shared→exclusive upgrade by the same owner are
-  // supported; upgrades can deadlock and are resolved by the timeout.
+  // supported. An upgrade while another holder is upgrading the same id
+  // fails at once with kTimeout; other deadlocks are resolved by the
+  // timeout.
   Status Acquire(uint64_t owner, const ChunkId& id, LockMode mode);
 
   // Releases everything `owner` holds (end of the two-phase protocol).
@@ -48,6 +58,8 @@ class LockManager {
     // entry alive (waiters hold a reference to it across cv waits) and is
     // what makes a release broadcast worthwhile.
     size_t waiters = 0;
+    // The holder waiting to upgrade to exclusive, if any.
+    std::optional<uint64_t> upgrader;
   };
 
   bool Compatible(const LockState& state, uint64_t owner, LockMode mode) const;

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 
@@ -13,15 +14,7 @@
 namespace tdb {
 
 MemUntrustedStore::MemUntrustedStore(UntrustedStoreOptions options)
-    : options_(options),
-      segments_(options.num_segments),
-      durable_segments_(options.num_segments),
-      dirty_(options.num_segments, false) {
-  for (uint32_t i = 0; i < options_.num_segments; ++i) {
-    segments_[i].resize(options_.segment_size, 0);
-    durable_segments_[i].resize(options_.segment_size, 0);
-  }
-}
+    : options_(options), segments_(options.num_segments) {}
 
 Status MemUntrustedStore::CheckRange(uint32_t segment, uint32_t offset,
                                      size_t len) const {
@@ -34,6 +27,20 @@ Status MemUntrustedStore::CheckRange(uint32_t segment, uint32_t offset,
   return OkStatus();
 }
 
+Bytes& MemUntrustedStore::MutableSegment(uint32_t segment) {
+  Bytes& seg = segments_[segment];
+  if (seg.empty()) {
+    seg.resize(options_.segment_size, 0);
+  }
+  return seg;
+}
+
+void MemUntrustedStore::MakeSegmentDurable(uint32_t segment) {
+  std::erase_if(unflushed_, [segment](const PreImage& pre) {
+    return pre.segment == segment;
+  });
+}
+
 Result<Bytes> MemUntrustedStore::Read(uint32_t segment, uint32_t offset,
                                       size_t len) const {
   TDB_RETURN_IF_ERROR(CheckRange(segment, offset, len));
@@ -41,6 +48,9 @@ Result<Bytes> MemUntrustedStore::Read(uint32_t segment, uint32_t offset,
   ProfileCount("untrusted_store.reads");
   ProfileCount("untrusted_store.bytes_read", len);
   const Bytes& seg = segments_[segment];
+  if (seg.empty()) {
+    return Bytes(len, 0);
+  }
   return Bytes(seg.begin() + offset, seg.begin() + offset + len);
 }
 
@@ -48,8 +58,13 @@ Status MemUntrustedStore::Write(uint32_t segment, uint32_t offset,
                                 ByteView data) {
   TDB_RETURN_IF_ERROR(CheckRange(segment, offset, data.size()));
   std::unique_lock<std::shared_mutex> lock(io_mu_);
-  std::memcpy(segments_[segment].data() + offset, data.data(), data.size());
-  dirty_[segment] = true;
+  Bytes& seg = MutableSegment(segment);
+  unflushed_.push_back(
+      {segment, offset,
+       Bytes(seg.begin() + offset, seg.begin() + offset + data.size())});
+  if (!data.empty()) {
+    std::memcpy(seg.data() + offset, data.data(), data.size());
+  }
   bytes_written_ += data.size();
   ProfileCount("untrusted_store.bytes_written", data.size());
   return OkStatus();
@@ -60,12 +75,7 @@ Status MemUntrustedStore::Flush() {
     std::this_thread::sleep_for(options_.flush_latency);
   }
   std::unique_lock<std::shared_mutex> lock(io_mu_);
-  for (uint32_t i = 0; i < options_.num_segments; ++i) {
-    if (dirty_[i]) {
-      durable_segments_[i] = segments_[i];
-      dirty_[i] = false;
-    }
-  }
+  unflushed_.clear();
   ++flush_count_;
   ProfileCount("untrusted_store.flushes");
   return OkStatus();
@@ -85,39 +95,47 @@ Status MemUntrustedStore::WriteSuperblock(ByteView data) {
 
 void MemUntrustedStore::Crash() {
   std::unique_lock<std::shared_mutex> lock(io_mu_);
-  for (uint32_t i = 0; i < options_.num_segments; ++i) {
-    if (dirty_[i]) {
-      segments_[i] = durable_segments_[i];
-      dirty_[i] = false;
-    }
+  for (auto it = unflushed_.rbegin(); it != unflushed_.rend(); ++it) {
+    std::copy(it->bytes.begin(), it->bytes.end(),
+              segments_[it->segment].begin() + it->offset);
   }
+  unflushed_.clear();
 }
 
 void MemUntrustedStore::CorruptByte(uint32_t segment, uint32_t offset,
                                     uint8_t xor_mask) {
   std::unique_lock<std::shared_mutex> lock(io_mu_);
-  segments_[segment][offset] ^= xor_mask;
-  durable_segments_[segment][offset] = segments_[segment][offset];
+  uint8_t& byte = MutableSegment(segment)[offset];
+  byte ^= xor_mask;
+  // Durable too: a Crash must restore the flipped byte, not an older one.
+  for (PreImage& pre : unflushed_) {
+    if (pre.segment == segment && offset >= pre.offset &&
+        offset < pre.offset + pre.bytes.size()) {
+      pre.bytes[offset - pre.offset] = byte;
+    }
+  }
 }
 
 void MemUntrustedStore::CorruptRange(uint32_t segment, uint32_t offset,
                                      ByteView replacement) {
   std::unique_lock<std::shared_mutex> lock(io_mu_);
-  std::memcpy(segments_[segment].data() + offset, replacement.data(),
-              replacement.size());
-  durable_segments_[segment] = segments_[segment];
+  std::copy(replacement.begin(), replacement.end(),
+            MutableSegment(segment).begin() + offset);
+  MakeSegmentDurable(segment);
 }
 
 Bytes MemUntrustedStore::DumpSegment(uint32_t segment) const {
   std::shared_lock<std::shared_mutex> lock(io_mu_);
-  return segments_[segment];
+  const Bytes& seg = segments_[segment];
+  return seg.empty() ? Bytes(options_.segment_size, 0) : seg;
 }
 
 void MemUntrustedStore::RestoreSegment(uint32_t segment, ByteView content) {
   std::unique_lock<std::shared_mutex> lock(io_mu_);
-  segments_[segment].assign(content.begin(), content.end());
-  segments_[segment].resize(options_.segment_size, 0);
-  durable_segments_[segment] = segments_[segment];
+  Bytes& seg = segments_[segment];
+  seg.assign(content.begin(), content.end());
+  seg.resize(options_.segment_size, 0);
+  MakeSegmentDurable(segment);
 }
 
 void MemUntrustedStore::RestoreSuperblock(ByteView content) {

@@ -56,6 +56,10 @@ class UntrustedStore {
 // In-memory store with an explicit volatile write cache. Also the tamper
 // testbed: Corrupt* methods mutate durable state directly, modelling an
 // attacker with full access to the device.
+//
+// Memory: a segment is allocated on its first write (unwritten segments read
+// as zeros), and the volatile cache is a log of the bytes each unflushed
+// write overwrote, which Crash rolls back and Flush drops.
 class MemUntrustedStore final : public UntrustedStore {
  public:
   explicit MemUntrustedStore(UntrustedStoreOptions options = {});
@@ -76,7 +80,10 @@ class MemUntrustedStore final : public UntrustedStore {
   // Discards all unflushed writes, as a power failure would.
   void Crash();
 
-  // Attacker operations: mutate the current (visible) state directly.
+  // Attacker operations: mutate the current (visible) state directly, and
+  // make the change durable. CorruptByte makes only the flipped byte
+  // durable; CorruptRange and RestoreSegment make the whole segment durable,
+  // unflushed writes to it included.
   void CorruptByte(uint32_t segment, uint32_t offset, uint8_t xor_mask);
   void CorruptRange(uint32_t segment, uint32_t offset, ByteView replacement);
   // Snapshot/restore a whole segment — the replay attack primitive.
@@ -95,15 +102,26 @@ class MemUntrustedStore final : public UntrustedStore {
   }
 
  private:
+  // The bytes an unflushed write overwrote.
+  struct PreImage {
+    uint32_t segment;
+    uint32_t offset;
+    Bytes bytes;
+  };
+
   Status CheckRange(uint32_t segment, uint32_t offset, size_t len) const;
+  // The segment's bytes, allocated zero-filled on first use. Needs io_mu_
+  // held exclusively.
+  Bytes& MutableSegment(uint32_t segment);
+  // Makes the segment's current bytes durable. Needs io_mu_ exclusively.
+  void MakeSegmentDurable(uint32_t segment);
 
   // Readers share; Write/Flush/Crash/Corrupt*/Restore* are exclusive. The
   // file-backed store needs no equivalent (pread/pwrite on one fd).
   mutable std::shared_mutex io_mu_;
   UntrustedStoreOptions options_;
-  std::vector<Bytes> segments_;          // current view (includes unflushed)
-  std::vector<Bytes> durable_segments_;  // survives Crash()
-  std::vector<bool> dirty_;
+  std::vector<Bytes> segments_;  // current view; empty until first written
+  std::vector<PreImage> unflushed_;  // oldest first; Crash() undoes them
   Bytes superblock_;
   uint64_t flush_count_ = 0;
   uint64_t bytes_written_ = 0;

@@ -287,9 +287,6 @@ Status TortureHarness::BackupAndMaybeVerify(TortureReport& report,
   // chain every few incrementals.
   constexpr size_t kMaxChain = 4;
   PartitionId base = backup_streams_.size() >= kMaxChain ? 0 : base_snapshot_;
-  if (base == 0) {
-    backup_streams_.clear();
-  }
 
   uint64_t id = next_backup_id_++;
   std::string stream = "backup-" + std::to_string(id);
@@ -305,9 +302,13 @@ Status TortureHarness::BackupAndMaybeVerify(TortureReport& report,
 
   // The chain only advances once the stream is fully archived; a failure
   // above leaves the previous chain state (and a dangling partial stream
-  // the restore path never sees).
+  // the restore path never sees). A new full backup starts a new chain only
+  // now, so a failed one cannot leave the next incremental without its base.
   PartitionId old_snapshot = base_snapshot_;
   base_snapshot_ = created->snapshots[0];
+  if (base == 0) {
+    backup_streams_.clear();
+  }
   backup_streams_.push_back(stream);
   ++report.backups;
   if (old_snapshot != 0) {

@@ -287,7 +287,7 @@ TEST(DescriptorCacheTest, DirtyQueriesFilterByPartitionAndHeight) {
   auto entries = cache.DirtyEntries(1, 0);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].first, ChunkId(1, 0, 1));
-  auto partitions = cache.DirtyPartitions(0);
+  auto partitions = cache.DirtyPartitions();  // any height
   EXPECT_EQ(partitions, (std::vector<PartitionId>{1, 2}));
 }
 

@@ -631,6 +631,61 @@ TEST_P(ChunkStoreTest, CleanerPreservesSnapshotSharing) {
   }
 }
 
+// Regression: the cleaner moves map chunks too, but a checkpoint used to
+// persist only the parents of dirty data chunks. A moved map chunk with no
+// moved child (here: its only child was deallocated) kept its old location
+// in the persisted tree; once the cleaned segment was reused, the restarted
+// store raised a false tamper alarm on every lookup through it. Surfaced by
+// the workload torture harness as "chunk header fails to decode" during
+// backups of snapshot partitions, whose trees nothing else rewrites.
+TEST_P(ChunkStoreTest, CleanerMovedMapChunksSurviveARestart) {
+  std::vector<ChunkId> ids;
+  uint32_t old_segment = 0;
+  {
+    auto cs = rig_.Create();
+    ASSERT_TRUE(cs.ok());
+    PartitionId p = MakePartition(**cs);
+    // 65 positions: map chunk 1.0 holds ranks 0-63, map chunk 1.1 rank 64.
+    ChunkStore::Batch batch;
+    for (int i = 0; i < 65; ++i) {
+      ids.push_back(*(*cs)->AllocateChunk(p));
+      batch.WriteChunk(ids.back(), BytesFromString("v" + std::to_string(i)));
+    }
+    ASSERT_TRUE((*cs)->Commit(std::move(batch)).ok());
+    ASSERT_TRUE((*cs)->Checkpoint().ok());
+    ASSERT_TRUE((*cs)->DeallocateChunk(ids[64]).ok());
+    ASSERT_TRUE((*cs)->Checkpoint().ok());  // map chunk 1.1 now has no child
+    const ChunkId map(p, 1, 1);
+    auto before = (*cs)->DebugChunkLocation(map);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    old_segment = before->first.segment;
+    // Churn the other chunks, then clean every checkpointed segment.
+    Rng rng(23);
+    for (int round = 0; round < 4; ++round) {
+      ChunkStore::Batch churn;
+      for (int i = 0; i < 64; ++i) {
+        churn.WriteChunk(ids[i], rng.NextBytes(200));
+      }
+      ASSERT_TRUE((*cs)->Commit(std::move(churn)).ok());
+    }
+    ASSERT_TRUE((*cs)->Checkpoint().ok());
+    ASSERT_TRUE((*cs)->Clean(1000).ok());
+    auto after = (*cs)->DebugChunkLocation(map);
+    ASSERT_TRUE(after.ok());
+    ASSERT_NE(after->first.segment, old_segment)
+        << "the cleaner did not move map chunk 1.1";
+  }
+  // The cleaned segment is free after the cleaner's checkpoint; new commits
+  // would overwrite it.
+  rig_.store().RestoreSegment(old_segment, Bytes(8192, 0));
+  auto cs = rig_.Open();
+  ASSERT_TRUE(cs.ok()) << cs.status().ToString();
+  EXPECT_EQ((*cs)->Read(ids[64]).status().code(), StatusCode::kNotFound);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_TRUE((*cs)->Read(ids[i]).ok()) << "chunk " << i;
+  }
+}
+
 // Regression: deallocating a copy used to leave a dangling entry in the
 // source's copies list. The cleaner walks source→copies to decide whether a
 // chunk version is still live, treated the broken walk as "owner

@@ -10,6 +10,7 @@
 #include "src/common/pickle.h"
 #include "src/obs/profiler.h"
 #include "src/common/rng.h"
+#include "src/common/sharded_cache.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
@@ -336,6 +337,42 @@ TEST(ProfilerTest, SamplesFromWorkerThreadsMergeIntoSnapshot) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The capacity is a total budget, whatever the shard count (and so whatever
+// the host's core count, which sets the default shard count).
+TEST(ShardedLruCacheTest, NeverHoldsMoreThanItsCapacity) {
+  for (size_t capacity : {0, 1, 2, 3, 5, 8, 64, 100}) {
+    for (size_t shards : {0, 1, 2, 4, 8, 64}) {
+      ShardedLruCache<int> cache(capacity, shards, {});
+      EXPECT_EQ(cache.enabled(), capacity > 0);
+      for (uint64_t rank = 0; rank < 4 * capacity + 16; ++rank) {
+        cache.Put(ChunkId(1, 0, rank), static_cast<int>(rank));
+        EXPECT_LE(cache.size(), capacity)
+            << "capacity=" << capacity << " shards=" << shards;
+      }
+    }
+  }
+}
+
+TEST(ShardedLruCacheTest, CapacityOneEvictsThePreviousEntry) {
+  ShardedLruCache<int> cache(1, 64, {});
+  EXPECT_EQ(cache.shard_count(), 1u);
+  cache.Put(ChunkId(1, 0, 1), 1);
+  cache.Put(ChunkId(1, 0, 2), 2);
+  EXPECT_FALSE(cache.Get(ChunkId(1, 0, 1)).has_value());
+  EXPECT_EQ(cache.Get(ChunkId(1, 0, 2)), 2);
+}
+
+TEST(ShardedLruCacheTest, LargeCachesKeepTheirShards) {
+  ShardedLruCache<int> cache(4096, 4, {});
+  EXPECT_EQ(cache.shard_count(), 4u);
+  for (uint64_t rank = 0; rank < 4096; ++rank) {
+    cache.Put(ChunkId(1, 0, rank), static_cast<int>(rank));
+  }
+  // Up to 1,024 per shard; the hash spreads sequential ranks across shards.
+  EXPECT_GT(cache.size(), 3500u);
+  EXPECT_LE(cache.size(), 4096u);
 }
 
 }  // namespace

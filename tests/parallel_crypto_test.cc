@@ -4,11 +4,14 @@
 // numbers serially in batch order), stores written either way must reopen
 // cleanly under both validation modes, and failures inside the fanned-out
 // cleaner (I/O faults, tampered chunks) must surface as one clean Status.
+// The images are also pinned to golden digests, so a crypto kernel that
+// changed a single ciphertext or hash byte fails here.
 
 #include <gtest/gtest.h>
 
 #include "src/backup/backup_store.h"
 #include "src/chunk/chunk_store.h"
+#include "src/crypto/sha256.h"
 #include "src/platform/trusted_store.h"
 #include "src/store/archival_store.h"
 #include "src/store/faulty_store.h"
@@ -160,6 +163,24 @@ StoreImage RunWorkload(ValidationMode mode, size_t crypto_threads) {
   return image;
 }
 
+// SHA-256 over the superblock, every segment in order, then the archive.
+std::string ImageDigest(const StoreImage& image) {
+  Sha256 h;
+  h.Update(image.superblock);
+  for (const Bytes& segment : image.segments) {
+    h.Update(segment);
+  }
+  h.Update(image.archive);
+  return HexEncode(h.Finish());
+}
+
+// Digests of the images RunWorkload writes. They must not move unless the
+// on-store format changes on purpose.
+constexpr const char* kCounterModeImageDigest =
+    "5cdd292807347167f71b385642cf1f79d209a3cd5ac9e8cdc3d4bed77a2cc8f0";
+constexpr const char* kDirectHashModeImageDigest =
+    "11d115d902035f9735848e185e3d9e38f50f5384c90f78396dfb2d9825e69395";
+
 void ExpectIdenticalImages(const StoreImage& serial,
                            const StoreImage& parallel) {
   EXPECT_EQ(serial.superblock, parallel.superblock);
@@ -182,12 +203,14 @@ TEST(ParallelCryptoDeterminism, CounterModeImagesAreByteIdentical) {
   StoreImage serial = RunWorkload(ValidationMode::kCounter, 0);
   StoreImage parallel = RunWorkload(ValidationMode::kCounter, 8);
   ExpectIdenticalImages(serial, parallel);
+  EXPECT_EQ(ImageDigest(serial), kCounterModeImageDigest);
 }
 
 TEST(ParallelCryptoDeterminism, DirectHashModeImagesAreByteIdentical) {
   StoreImage serial = RunWorkload(ValidationMode::kDirectHash, 0);
   StoreImage parallel = RunWorkload(ValidationMode::kDirectHash, 8);
   ExpectIdenticalImages(serial, parallel);
+  EXPECT_EQ(ImageDigest(serial), kDirectHashModeImageDigest);
 }
 
 // A backup written with the parallel pipeline must restore onto a store

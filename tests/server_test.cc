@@ -321,6 +321,8 @@ TEST_F(ServerTest, GroupCommitBatchesConcurrentCommits) {
 TEST_F(ServerTest, TamperedChunkIsDetectedOverTheWire) {
   // cache_capacity 1: reading object B evicts A from the object cache, so
   // the next Get(A) must re-read, decrypt, and validate the tampered chunk.
+  // The capacity is a total budget, so this holds on any core count (the
+  // core count sets only the shard count; see ShardedLruCacheTest).
   StartServer({.cache_capacity = 1});
   auto client = NewClient();
   ASSERT_TRUE(client->Begin().ok());

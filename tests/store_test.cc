@@ -60,6 +60,34 @@ TEST(MemUntrustedStoreTest, CorruptionPrimitives) {
   EXPECT_EQ((*store.Read(0, 11, 2)), BytesFromString("bc"));
 }
 
+TEST(MemUntrustedStoreTest, UnwrittenSegmentsReadAsZeros) {
+  MemUntrustedStore store({.segment_size = 128, .num_segments = 2});
+  EXPECT_EQ(*store.Read(1, 120, 8), Bytes(8, 0));
+  EXPECT_EQ(store.DumpSegment(1), Bytes(128, 0));
+  ASSERT_TRUE(store.Write(1, 0, BytesFromString("new")).ok());
+  store.Crash();  // a first write that never became durable
+  EXPECT_EQ(store.DumpSegment(1), Bytes(128, 0));
+}
+
+TEST(MemUntrustedStoreTest, CrashUndoesOverlappingWritesButKeepsTampering) {
+  MemUntrustedStore store({.segment_size = 128, .num_segments = 2});
+  ASSERT_TRUE(store.Write(0, 0, BytesFromString("aaaa")).ok());
+  ASSERT_TRUE(store.Flush().ok());
+  ASSERT_TRUE(store.Write(0, 0, BytesFromString("bbbb")).ok());
+  ASSERT_TRUE(store.Write(0, 1, BytesFromString("cc")).ok());
+  store.CorruptByte(0, 3, 0x01);  // 'b' -> 'c', durable at once
+  EXPECT_EQ(*store.Read(0, 0, 4), BytesFromString("bccc"));
+  store.Crash();
+  EXPECT_EQ(*store.Read(0, 0, 4), BytesFromString("aaac"));
+
+  // CorruptRange makes the whole segment durable, unflushed writes too.
+  ASSERT_TRUE(store.Write(1, 10, BytesFromString("dd")).ok());
+  store.CorruptRange(1, 0, BytesFromString("zz"));
+  store.Crash();
+  EXPECT_EQ(*store.Read(1, 0, 2), BytesFromString("zz"));
+  EXPECT_EQ(*store.Read(1, 10, 2), BytesFromString("dd"));
+}
+
 TEST(MemUntrustedStoreTest, SuperblockRoundTrip) {
   MemUntrustedStore store({.segment_size = 128, .num_segments = 2});
   EXPECT_TRUE(store.ReadSuperblock()->empty());

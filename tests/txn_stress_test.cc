@@ -157,9 +157,9 @@ TEST_P(TxnStressTest, ConcurrentTransfersConserveMoney) {
 }
 
 // All threads increment the same counter through a shared-then-exclusive
-// upgrade (Get, then Put). Upgrades deadlock when two readers both try to
-// upgrade; timeouts break the deadlock and the loser retries, so no
-// increment may ever be lost.
+// upgrade (Get, then Put). Two readers both trying to upgrade would
+// deadlock; the second upgrade fails at once and its transaction retries,
+// so no increment may ever be lost, and the retries must not livelock.
 TEST_P(TxnStressTest, UpgradeContentionLosesNoUpdates) {
   constexpr int kThreads = 8;
   constexpr int kIncrementsPerThread = 25;
@@ -244,6 +244,36 @@ TEST_P(TxnStressTest, LockMetricsReportContention) {
   }
   EXPECT_TRUE(saw_wait_histogram);
   obs::MetricsRegistry::Instance().Disable();
+}
+
+// Two holders upgrading one object would each wait for the other's shared
+// lock. The second upgrade fails at once, and the first is granted as soon
+// as the loser aborts, long before the lock timeout.
+TEST(LockManagerUpgradeTest, SecondUpgraderFailsAtOnce) {
+  LockManager locks(std::chrono::seconds(10));
+  const ChunkId id(1, 0, 7);
+  ASSERT_TRUE(locks.Acquire(1, id, LockMode::kShared).ok());
+  ASSERT_TRUE(locks.Acquire(2, id, LockMode::kShared).ok());
+
+  Status results[3];  // indexed by owner
+  auto upgrade = [&](uint64_t owner) {
+    results[owner] = locks.Acquire(owner, id, LockMode::kExclusive);
+    if (!results[owner].ok()) {
+      locks.ReleaseAll(owner);  // the loser aborts
+    }
+  };
+  const auto started = std::chrono::steady_clock::now();
+  std::thread first(upgrade, 1);
+  std::thread second(upgrade, 2);
+  first.join();
+  second.join();
+
+  EXPECT_NE(results[1].ok(), results[2].ok()) << "exactly one upgrade wins";
+  const Status& lost = results[1].ok() ? results[2] : results[1];
+  EXPECT_EQ(lost.code(), StatusCode::kTimeout) << lost.ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(5))
+      << "the conflict waited for the lock timeout";
 }
 
 INSTANTIATE_TEST_SUITE_P(GroupCommit, TxnStressTest, ::testing::Bool(),
