@@ -19,8 +19,11 @@
 // With --partition (or `use`), transactions are routed to that named
 // partition — two tdb_cli sessions on two partitions of one server get
 // fully isolated data and their commits still share group-commit flushes.
-// If the partition has been handed off to another server, begin reports
-// the kMoved redirect with the new address to dial.
+// `begin` and `put` are queued and reach the server with the next command
+// that needs an answer (get, insert, del, commit, ...), so that command
+// reports their errors. If the partition has been handed off to another
+// server, whichever command reaches the server prints the kMoved redirect
+// with the new address to dial.
 
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +52,11 @@ bool ParseId(const std::string& token, ObjectId* id) {
 }
 
 void Report(const Status& status) {
+  if (status.code() == StatusCode::kMoved) {
+    std::printf("partition moved — reconnect to %s\n",
+                status.message().c_str());
+    return;
+  }
   std::printf("%s\n", status.ok() ? "ok" : status.ToString().c_str());
 }
 
@@ -113,13 +121,7 @@ int main(int argc, char** argv) {
     if (cmd == "ping") {
       Report(client.Ping());
     } else if (cmd == "begin") {
-      Status begun = client.Begin(partition);
-      if (begun.code() == StatusCode::kMoved) {
-        std::printf("partition moved — reconnect to %s\n",
-                    begun.message().c_str());
-      } else {
-        Report(begun);
-      }
+      Report(client.Begin(partition));
     } else if (cmd == "partitions") {
       auto entries = client.PartitionList();
       if (!entries.ok()) {

@@ -4,7 +4,8 @@
 // Many clients connect over a Transport; each accepted connection becomes a
 // Session serviced by a worker from the shared ThreadPool. A session maps
 // its connection to at most one open transaction on one PartitionEngine
-// (begin names the partition; the engine registry routes) and enforces a
+// (begin names the partition; the engine registry routes), runs each
+// frame's requests in order until the first failure (wire.h), and enforces a
 // per-session idle timeout (idle sessions lose their locks: the open
 // transaction is aborted and the connection closed). New connections beyond
 // `max_sessions` are rejected with a busy response before a session or a
@@ -159,6 +160,8 @@ class TdbServer {
   Response HandleAdmin(const Request& request);
   // Ends the session's transaction bookkeeping (engine pin + drain count).
   void FinishTxn(Session& session);
+  // Aborts the session's open transaction, if any, and finishes it.
+  void AbortTxn(Session& session);
 
   // Snapshots `partition` (incremental against `base` when nonzero) into a
   // backup stream; records the new snapshot id in the hand-off chain.

@@ -188,7 +188,13 @@ ObjectStore* TortureHarness::verify_store() {
 
 std::unique_ptr<YcsbBackend> TortureHarness::NewBackend() {
   if (options_.mode == TortureMode::kLocal) {
+    if (objects_ == nullptr) {
+      return nullptr;
+    }
     return std::make_unique<InProcessBackend>(objects_.get());
+  }
+  if (server_ == nullptr) {
+    return nullptr;
   }
   auto backend = std::make_unique<WireBackend>(&registry_);
   if (!backend->Connect(transport_.get(), server_->address()).ok()) {
@@ -472,13 +478,16 @@ Status TortureHarness::RecoverAfterCrash(TortureReport& report) {
     base_.Crash();
   }
   controller_.Disarm();
-  TDB_RETURN_IF_ERROR(BuildStack(/*fresh=*/false));
+  if (Status built = BuildStack(/*fresh=*/false); !built.ok()) {
+    TearDownStack();  // leave no half-built stack behind
+    return built;
+  }
   ++report.recoveries;
   VerifyInvariants("after recovery", report);
   return OkStatus();
 }
 
-void TortureHarness::RunEpoch(TortureReport& report) {
+bool TortureHarness::RunEpoch(TortureReport& report) {
   ++report.epochs;
   epoch_seed_ = rng_.NextU64();
 
@@ -497,7 +506,7 @@ void TortureHarness::RunEpoch(TortureReport& report) {
   }
   if (backend_ptrs.empty()) {
     Violation(report, "epoch could not connect any driver backend");
-    return;
+    return true;
   }
 
   DriverOptions driver_options;
@@ -552,13 +561,15 @@ void TortureHarness::RunEpoch(TortureReport& report) {
     if (!status.ok()) {
       Violation(report,
                 std::string("recovery failed: ") + status.ToString());
+      return false;
     }
-    return;
+    return true;
   }
   // No crash this epoch: disarm so verification reads cannot trip a stale
   // crash point, then verify in place.
   controller_.Disarm();
   VerifyInvariants("after epoch", report);
+  return true;
 }
 
 Result<TortureReport> TortureHarness::Run() {
@@ -570,7 +581,11 @@ Result<TortureReport> TortureHarness::Run() {
 
   auto deadline = std::chrono::steady_clock::now() + options_.duration;
   while (std::chrono::steady_clock::now() < deadline) {
-    RunEpoch(report);
+    if (!RunEpoch(report)) {
+      // Recovery failed, so there is no stack left to soak or verify; its
+      // violation is the report.
+      return report;
+    }
     if (report.violations.size() >= 8) {
       break;  // a cascade; the first few violations tell the story
     }

@@ -100,7 +100,8 @@ class TortureHarness {
   Status BuildStack(bool fresh);
   void TearDownStack();
   Status LoadData();
-  void RunEpoch(TortureReport& report);
+  // Returns false when recovery failed and left no stack to run on.
+  bool RunEpoch(TortureReport& report);
   void MaintenanceLoop(const std::atomic<bool>& stop, TortureReport& report);
   void TransferLoop(int thread_index, const std::atomic<bool>& stop,
                     std::atomic<uint64_t>& committed);
@@ -112,6 +113,7 @@ class TortureHarness {
   // One transfer transaction against whatever the mode's access path is.
   Status TransferOnce(YcsbBackend& backend, Rng& rng);
 
+  // Both return nullptr while the stack is down.
   std::unique_ptr<YcsbBackend> NewBackend();
   ObjectStore* verify_store();
 

@@ -193,7 +193,9 @@ TEST_F(ShardTest, PartitionCrudOverTheWire) {
   ASSERT_TRUE(client->PartitionDrop("orders").ok());
   EXPECT_EQ(client->PartitionLookup("orders").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(client->Begin(*orders).code(), StatusCode::kNotFound);
+  // Begin only queues; the call that sends it reports the server's answer.
+  ASSERT_TRUE(client->Begin(*orders).ok());
+  EXPECT_EQ(client->Commit().code(), StatusCode::kNotFound);
 }
 
 // --- Cross-partition isolation at the wire boundary -------------------------
@@ -207,9 +209,14 @@ TEST_F(ShardTest, CrossPartitionIsolationOverTheWire) {
   ASSERT_TRUE(orders.ok());
 
   // With several partitions served there is no default route: begin must
-  // name one, and unknown ids are refused.
-  EXPECT_EQ(admin->Begin().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(admin->Begin(999).code(), StatusCode::kNotFound);
+  // name one, and unknown ids are refused. Begin only queues, so the call
+  // that sends it reports the refusal, and no transaction is left open.
+  ASSERT_TRUE(admin->Begin().ok());
+  EXPECT_EQ(admin->Insert(BlobValue("nowhere")).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(admin->in_transaction());
+  ASSERT_TRUE(admin->Begin(999).ok());
+  EXPECT_EQ(admin->Commit().code(), StatusCode::kNotFound);
 
   auto alice = a_.NewClient(&transport_);
   ASSERT_TRUE(alice->Begin(*accounts).ok());
@@ -224,8 +231,13 @@ TEST_F(ShardTest, CrossPartitionIsolationOverTheWire) {
   ASSERT_TRUE(bob->Begin(*orders).ok());
   EXPECT_EQ(bob->Get(*account_row).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(bob->Put(*account_row, BlobValue("alice: 0")).code(),
-            StatusCode::kInvalidArgument);
+  // A Put is queued; the call that sends it reports its error, and that
+  // call's own request never runs.
+  ASSERT_TRUE(bob->Put(*account_row, BlobValue("alice: 0")).ok());
+  Status put = bob->Insert(BlobValue("order #0")).status();
+  EXPECT_EQ(put.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(put.message().find(account_row->ToString()), std::string::npos)
+      << put;
   EXPECT_EQ(bob->Delete(*account_row).code(), StatusCode::kInvalidArgument);
   auto order_row = bob->Insert(BlobValue("order #1"));
   ASSERT_TRUE(order_row.ok());
@@ -323,8 +335,10 @@ TEST_F(ShardTest, HandoffMovesDataAndRedirectsClients) {
       MovePartition(*source, *target, "accounts", b_.server()->address())
           .ok());
 
-  // The source now redirects — a retryable kMoved carrying the new address.
-  Status moved = source->Begin(*pid);
+  // The source now redirects — a retryable kMoved carrying the new address,
+  // reported by the call that sends the begin.
+  ASSERT_TRUE(source->Begin(*pid).ok());
+  Status moved = source->Commit();
   EXPECT_EQ(moved.code(), StatusCode::kMoved);
   EXPECT_EQ(moved.message(), b_.server()->address());
   auto entry = source->PartitionLookup("accounts");
@@ -375,8 +389,16 @@ TEST_F(ShardTest, HandoffUnderLiveTrafficLosesNoAckedCommit) {
         }
         const bool move_was_done = move_done.load();
         TdbClient* client = use_target ? on_target.get() : on_source.get();
-        Status begun = client->Begin(*pid);
-        if (begun.code() == StatusCode::kMoved) {
+        if (!client->Begin(*pid).ok()) {
+          stuck.fetch_add(1);  // Begin only queues; nothing may be open here
+          return;
+        }
+        // The begin rides with the insert, which reports the server's
+        // answer to it.
+        std::string value =
+            "w" + std::to_string(w) + " n" + std::to_string(written);
+        auto id = client->Insert(BlobValue(value));
+        if (id.status().code() == StatusCode::kMoved) {
           // Redirect (or mid-drain retry): switch to the target and retry.
           if (!use_target) {
             use_target = true;
@@ -384,15 +406,15 @@ TEST_F(ShardTest, HandoffUnderLiveTrafficLosesNoAckedCommit) {
           }
           continue;
         }
-        if (!begun.ok()) {
+        if (!id.ok()) {
           // e.g. the target has not activated the partition yet.
+          if (client->in_transaction()) {
+            (void)client->Abort();
+          }
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
           continue;
         }
-        std::string value =
-            "w" + std::to_string(w) + " n" + std::to_string(written);
-        auto id = client->Insert(BlobValue(value));
-        if (!id.ok() || !client->Commit().ok()) {
+        if (!client->Commit().ok()) {
           continue;  // not acknowledged: no durability claim to check
         }
         acked[w].emplace_back(*id, value);
@@ -481,7 +503,8 @@ TEST_F(ShardTest, SourceCrashBeforeCutoverIsRecoverableAndRetryable) {
   ASSERT_TRUE(target->BeginReadOnly(*pid).ok());
   EXPECT_TRUE(target->Get(row).ok());
   ASSERT_TRUE(target->Abort().ok());
-  EXPECT_EQ(recovered->Begin(*pid).code(), StatusCode::kMoved);
+  ASSERT_TRUE(recovered->Begin(*pid).ok());
+  EXPECT_EQ(recovered->Commit().code(), StatusCode::kMoved);
 }
 
 TEST_F(ShardTest, TornStreamFailsActivationAtomicallyWithoutTamperAlarm) {
@@ -504,7 +527,8 @@ TEST_F(ShardTest, TornStreamFailsActivationAtomicallyWithoutTamperAlarm) {
   Status activated = target->HandoffActivate(*pid, "accounts");
   ASSERT_FALSE(activated.ok());
   EXPECT_EQ(activated.code(), StatusCode::kCorruption);
-  EXPECT_EQ(target->Begin(*pid).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(target->Begin(*pid).ok());
+  EXPECT_EQ(target->Commit().code(), StatusCode::kNotFound);
 
   // A tampered stream (bit flipped mid-payload) IS a tamper alarm — the
   // true-positive case — and is equally atomic.
@@ -514,7 +538,8 @@ TEST_F(ShardTest, TornStreamFailsActivationAtomicallyWithoutTamperAlarm) {
   activated = target->HandoffActivate(*pid, "accounts");
   ASSERT_FALSE(activated.ok());
   EXPECT_EQ(activated.code(), StatusCode::kTamperDetected);
-  EXPECT_EQ(target->Begin(*pid).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(target->Begin(*pid).ok());
+  EXPECT_EQ(target->Commit().code(), StatusCode::kNotFound);
 
   // The source never stopped serving; the intact retry completes the move.
   ASSERT_TRUE(source->Begin(*pid).ok());
@@ -547,7 +572,8 @@ TEST_F(ShardTest, SourceCrashDuringCutoverRollsBackToServing) {
   auto final_delta =
       source->HandoffCutover(*pid, b_.server()->address(), full->snapshot);
   ASSERT_TRUE(final_delta.ok());
-  EXPECT_EQ(source->Begin(*pid).code(), StatusCode::kMoved);
+  ASSERT_TRUE(source->Begin(*pid).ok());
+  EXPECT_EQ(source->Commit().code(), StatusCode::kMoved);
 
   a_.Crash();
   a_.Reopen();
@@ -587,7 +613,8 @@ TEST_F(ShardTest, AbortAfterCutoverResumesServingWithoutLoss) {
   auto final_delta =
       source->HandoffCutover(*pid, b_.server()->address(), full->snapshot);
   ASSERT_TRUE(final_delta.ok());
-  EXPECT_EQ(source->Begin(*pid).code(), StatusCode::kMoved);
+  ASSERT_TRUE(source->Begin(*pid).ok());
+  EXPECT_EQ(source->Commit().code(), StatusCode::kMoved);
 
   // The coordinator decides to abort (say, the target is unhealthy): an
   // empty-target finish reclaims ownership without a restart.
@@ -617,9 +644,11 @@ TEST_F(ShardTest, FinishedMoveSurvivesSourceRestart) {
   a_.Reopen();
   a_.Start(&transport_, "node-a");
   auto recovered = a_.NewClient(&transport_);
-  Status begun = recovered->Begin(*pid);
+  ASSERT_TRUE(recovered->Begin(*pid).ok());
+  Status begun = recovered->Get(row).status();
   EXPECT_EQ(begun.code(), StatusCode::kMoved);
   EXPECT_EQ(begun.message(), b_.server()->address());
+  EXPECT_FALSE(recovered->in_transaction());
   EXPECT_TRUE(a_.chunks()->PartitionExists(*pid));
 
   ASSERT_TRUE(target->BeginReadOnly(*pid).ok());
