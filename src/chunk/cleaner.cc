@@ -57,10 +57,9 @@ Status ChunkStore::CleanSegment(uint32_t segment) {
     ChunkId original_id;
     Bytes body_ct;  // encrypted body, pending revalidation
     Bytes plain;    // filled by revalidation
-    Location location;
     const CryptoSuite* suite = nullptr;  // owning partition's suite
     std::vector<PartitionId> current_in;
-    std::vector<Descriptor> old_descs;  // parallel to current_in
+    Descriptor old_desc;  // the version's descriptor in current_in
   };
   std::vector<LiveVersion> live;
 
@@ -93,7 +92,7 @@ Status ChunkStore::CleanSegment(uint32_t segment) {
       Result<Descriptor> desc = GetDescriptor(qid);
       if (desc.ok() && desc->written() && desc->location == item->location) {
         lv.current_in.push_back(q);
-        lv.old_descs.push_back(*desc);
+        lv.old_desc = *desc;
       }
     }
     if (lv.current_in.empty()) {
@@ -104,7 +103,6 @@ Status ChunkStore::CleanSegment(uint32_t segment) {
     TDB_ASSIGN_OR_RETURN(LeaderEntry* owner, GetLeader(lv.current_in[0]));
     lv.suite = &owner->suite;
     lv.body_ct = std::move(item->body_ct);
-    lv.location = item->location;
     live.push_back(std::move(lv));
   }
 
@@ -117,7 +115,7 @@ Status ChunkStore::CleanSegment(uint32_t segment) {
     LiveVersion& lv = live[i];
     Result<Bytes> plain = lv.suite->Decrypt(lv.body_ct);
     if (!plain.ok() ||
-        !ConstantTimeEqual(lv.suite->Hash(*plain), lv.old_descs[0].hash)) {
+        !ConstantTimeEqual(lv.suite->Hash(*plain), lv.old_desc.hash)) {
       tampered[i] = 1;
       return;
     }
@@ -126,78 +124,38 @@ Status ChunkStore::CleanSegment(uint32_t segment) {
   for (size_t i = 0; i < live.size(); ++i) {
     if (tampered[i] != 0) {
       return TamperDetectedError("cleaner found a tampered chunk at " +
-                                 live[i].location.ToString());
+                                 live[i].old_desc.location.ToString());
     }
   }
 
   // Rewrite the live versions as one commit, cleaner record last.
-  if (counter_) {
-    set_hash_.emplace(system_suite_->hash_alg());
-  }
+  BeginCommitSet();
   std::vector<BuildTask> tasks;
   tasks.reserve(live.size());
   for (const LiveVersion& lv : live) {
     tasks.push_back(BuildTask{lv.original_id, lv.plain, lv.suite});
   }
-  std::vector<BuiltVersion> built = BuildVersions(tasks);
-  std::vector<LogManager::Blob> blobs;
-  blobs.reserve(built.size());
-  for (BuiltVersion& bv : built) {
-    blobs.push_back(LogManager::Blob{std::move(bv.blob), true});
-  }
-  TDB_ASSIGN_OR_RETURN(std::vector<Location> locations,
-                       AppendToCommitSet(std::move(blobs)));
-
+  TDB_ASSIGN_OR_RETURN(std::vector<Descriptor> descs, AppendVersions(tasks));
   CleanerRecord record;
+  uint64_t bytes_rewritten = 0;
   for (size_t i = 0; i < live.size(); ++i) {
-    CleanerEntry entry;
-    entry.original_id = live[i].original_id;
-    entry.current_in = live[i].current_in;
-    entry.new_location = locations[i];
-    entry.stored_size = built[i].stored_size;
-    record.entries.push_back(std::move(entry));
+    record.entries.push_back(CleanerEntry{live[i].original_id,
+                                          live[i].current_in,
+                                          descs[i].location,
+                                          descs[i].stored_size});
+    bytes_rewritten += descs[i].stored_size;
   }
-  if (!record.entries.empty() || counter_) {
-    std::vector<LogManager::Blob> tail;
-    if (!record.entries.empty()) {
-      tail.push_back(LogManager::Blob{
-          BuildUnnamed(UnnamedType::kCleaner, record.Pickle()), false});
-    }
-    if (counter_) {
-      CommitRecord commit;
-      commit.count = counter_->NextCount();
-      // The cleaner blob must be appended before the digest is taken, so
-      // split the appends.
-      if (!tail.empty()) {
-        TDB_RETURN_IF_ERROR(AppendToCommitSet(std::move(tail)).status());
-        tail.clear();
-      }
-      commit.set_digest = set_hash_->Finish();
-      commit.Sign(*system_suite_);
-      tail.push_back(LogManager::Blob{
-          BuildUnnamed(UnnamedType::kCommit, commit.Pickle()), false});
-    }
-    TDB_RETURN_IF_ERROR(AppendToCommitSet(std::move(tail)).status());
+  if (!record.entries.empty()) {
+    TDB_RETURN_IF_ERROR(AppendUnnamed(UnnamedType::kCleaner, record.Pickle()));
   }
-
-  // Update descriptors for every partition in which a version is current.
+  TDB_RETURN_IF_ERROR(SealCommitSet());
   for (size_t i = 0; i < live.size(); ++i) {
-    Descriptor desc;
-    desc.status = ChunkStatus::kWritten;
-    desc.location = locations[i];
-    desc.stored_size = built[i].stored_size;
-    desc.hash = built[i].hash;
-    for (PartitionId q : live[i].current_in) {
-      cache_.PutDirty(ChunkId(q, live[i].original_id.position), desc);
-    }
+    ApplyMove(live[i].original_id.position, live[i].current_in, descs[i],
+              live[i].old_desc);
   }
 
   TDB_RETURN_IF_ERROR(FinishCommitSet());
   log_.MarkCleaned(segment);
-  uint64_t bytes_rewritten = 0;
-  for (const BuiltVersion& bv : built) {
-    bytes_rewritten += bv.stored_size;
-  }
   obs::Count("cleaner.chunks_rewritten", live.size());
   obs::Count("cleaner.bytes_rewritten", bytes_rewritten);
   obs::TraceEmit(obs::TraceKind::kSegmentClean, "cleaner", segment,

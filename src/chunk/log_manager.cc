@@ -313,12 +313,15 @@ Result<std::optional<LogManager::Scanned>> LogManager::Scanner::Next() {
     if (rec.next_segment >= log_->segments_.size()) {
       return CorruptionError("next-segment link outside store");
     }
-    // A legitimate residual chain never revisits a segment; a cycle here
-    // means spliced (replayed) link records and would otherwise make the
-    // scan loop forever.
+    // A legitimate residual chain never revisits a segment, so a link into
+    // a visited one ends the log, like a torn link (and the scan cannot
+    // loop). Past the durable tail it is a stale record of a reused
+    // segment's earlier life. Before the tail it is a splice, and the same
+    // downstream checks judge the log that ends early (DESIGN.md, deviation
+    // 3).
     if (std::find(visited_.begin(), visited_.end(), rec.next_segment) !=
         visited_.end()) {
-      return TamperDetectedError("next-segment link cycle: log was spliced");
+      return std::optional<Scanned>{};
     }
     pos_ = Location{rec.next_segment, 0};
     visited_.push_back(rec.next_segment);

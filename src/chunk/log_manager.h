@@ -124,9 +124,10 @@ class LogManager {
   class Scanner {
    public:
     // Returns the next version, or nullopt when no valid version header can
-    // be read at the current position (the log tail in counter mode). I/O
-    // failures surface as errors. Next-segment chunks are returned like any
-    // other version, after which the scanner continues in the next segment.
+    // be read at the current position (the log tail in counter mode), or at
+    // a torn link or a link into a segment already visited. I/O failures
+    // surface as errors. Next-segment chunks are returned like any other
+    // version, after which the scanner continues in the next segment.
     Result<std::optional<Scanned>> Next();
 
     Location position() const { return pos_; }
