@@ -53,6 +53,16 @@ Status FaultyStore::Flush() {
   if (write_faulted_) {
     return IoError("injected fault: store is down");
   }
+  if (flush_faulted_) {
+    return IoError("injected fault: flush failed");
+  }
+  if (flush_armed_) {
+    if (flushes_until_fault_ == 0) {
+      flush_faulted_ = true;
+      return IoError("injected fault: flush failed");
+    }
+    --flushes_until_fault_;
+  }
   ++flush_count_;
   return base_->Flush();
 }
@@ -89,6 +99,12 @@ void FaultyStore::FailAfterReads(uint64_t n) {
   read_faulted_ = false;
 }
 
+void FaultyStore::FailAfterFlushes(uint64_t n) {
+  flush_armed_ = true;
+  flushes_until_fault_ = n;
+  flush_faulted_ = false;
+}
+
 void FaultyStore::SetTearFraction(double fraction) {
   if (fraction < 0.0) fraction = 0.0;
   if (fraction > 1.0) fraction = 1.0;
@@ -101,6 +117,8 @@ void FaultyStore::ClearFault() {
   write_faulted_ = false;
   read_armed_ = false;
   read_faulted_ = false;
+  flush_armed_ = false;
+  flush_faulted_ = false;
   tear_ = false;
   tear_fraction_ = 0.0;
 }

@@ -34,12 +34,17 @@ class FaultyStore final : public UntrustedStore {
   // After `n` more successful reads (segment or superblock), reads fail with
   // kIoError until ClearFault(). Writes are unaffected.
   void FailAfterReads(uint64_t n);
+  // After `n` more successful flushes, flushes fail with kIoError until
+  // ClearFault(). Writes are unaffected.
+  void FailAfterFlushes(uint64_t n);
   // Fraction in [0, 1] of the tripping write's bytes persisted before the
   // injected failure. 0 persists nothing (clean fail), 1 persists everything
   // (the write succeeded at the device but the ack was lost).
   void SetTearFraction(double fraction);
   void ClearFault();
-  bool faulted() const { return write_faulted_ || read_faulted_; }
+  bool faulted() const {
+    return write_faulted_ || read_faulted_ || flush_faulted_;
+  }
 
   uint64_t write_count() const { return write_count_; }
   uint64_t read_count() const { return read_count_; }
@@ -56,6 +61,9 @@ class FaultyStore final : public UntrustedStore {
   bool tear_ = false;
   uint64_t writes_until_fault_ = 0;
   bool write_faulted_ = false;
+  bool flush_armed_ = false;
+  uint64_t flushes_until_fault_ = 0;
+  bool flush_faulted_ = false;
   // Read-path state is mutable because Read()/ReadSuperblock() are const in
   // the UntrustedStore contract; fault bookkeeping is not logical state.
   mutable uint64_t read_count_ = 0;
