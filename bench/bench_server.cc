@@ -21,6 +21,14 @@
 // configuration so its tails are per-config. `--json <path>` writes every
 // measured configuration; `--obs` additionally enables the profiler and
 // trace journal for the embedded snapshot.
+//
+// The round-trip sweep drops the modelled flush and runs the same blind
+// writes over the loopback and the TCP transport, so what it times is the
+// wire path itself: encode, transport, thread wake-ups, handle, and an
+// in-memory commit. Its latencies are client-side, and its CPU column is
+// the process's user plus system time per commit (polling included).
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <memory>
@@ -30,6 +38,7 @@
 
 #include "bench/bench_util.h"
 #include "src/net/loopback.h"
+#include "src/net/tcp.h"
 #include "src/server/blob.h"
 #include "src/server/client.h"
 #include "src/server/server.h"
@@ -45,6 +54,8 @@ using server::TdbServerOptions;
 
 struct RunResult {
   double wall_us = 0.0;
+  // User plus system CPU time of the whole process over the timed section.
+  double cpu_us = 0.0;
   uint64_t commits = 0;
   // Per-transaction begin..commit latencies, merged across clients.
   std::vector<double> latencies_us;
@@ -59,21 +70,30 @@ struct RunResult {
 
 constexpr std::chrono::microseconds kFlushLatency{500};
 
-RunResult RunClients(int clients, bool group_commit, int commits_per_client) {
+double ProcessCpuUs() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto us = [](const timeval& t) { return t.tv_sec * 1e6 + t.tv_usec; };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
+
+// `address` is where the server listens on `transport`.
+RunResult RunClients(int clients, bool group_commit, int commits_per_client,
+                     net::Transport& transport, const std::string& address,
+                     std::chrono::microseconds flush_latency) {
   Rig rig = MakeRig(/*segment_size=*/256 * 1024, /*num_segments=*/2048,
                     ValidationMode::kCounter, /*delta_ut=*/5,
-                    /*crypto_threads=*/SIZE_MAX, kFlushLatency);
+                    /*crypto_threads=*/SIZE_MAX, flush_latency);
   PartitionId partition = MakePartition(*rig.chunks);
   TypeRegistry registry;
   if (!RegisterType<BlobValue>(registry).ok()) {
     std::abort();
   }
 
-  net::LoopbackTransport transport;
   TdbServerOptions options;
   options.group_commit = group_commit;
   TdbServer server(rig.chunks.get(), partition, &registry, options);
-  if (!server.Start(&transport, "bench").ok()) {
+  if (!server.Start(&transport, address).ok()) {
     std::fprintf(stderr, "server start failed\n");
     std::abort();
   }
@@ -100,6 +120,7 @@ RunResult RunClients(int clients, bool group_commit, int commits_per_client) {
   result.commits = static_cast<uint64_t>(clients) * commits_per_client;
   std::vector<std::vector<double>> per_client(clients);
   obs::MetricsRegistry::Instance().Reset();  // per-config tails
+  const double cpu_start_us = ProcessCpuUs();
   result.wall_us = TimeUs([&] {
     std::vector<std::thread> threads;
     threads.reserve(clients);
@@ -127,6 +148,7 @@ RunResult RunClients(int clients, bool group_commit, int commits_per_client) {
       t.join();
     }
   });
+  result.cpu_us = ProcessCpuUs() - cpu_start_us;
   server.Stop();
   result.op_hist = RegistryHistogram("wire.op.commit.us");
   for (auto& samples : per_client) {
@@ -350,7 +372,9 @@ int Run(int argc, char** argv) {
   for (int clients : kClientCounts) {
     double off_rate = 0.0;
     for (bool group : {false, true}) {
-      RunResult r = RunClients(clients, group, kCommitsPerClient);
+      net::LoopbackTransport loopback;
+      RunResult r = RunClients(clients, group, kCommitsPerClient, loopback,
+                               "bench", kFlushLatency);
       if (!group) {
         off_rate = r.commits_per_sec();
       }
@@ -369,6 +393,38 @@ int Run(int argc, char** argv) {
                     r.op_hist.Quantile(0.50), r.op_hist.Quantile(0.99),
                     r.op_hist.Quantile(0.999));
       json.Add("server_commit", params, r.mean_us(), r.stddev_us());
+    }
+  }
+
+  constexpr int kRoundTripsPerClient = 5000;
+  PrintHeader("server: write round trip, no modelled flush, group commit on");
+  std::printf("%10s %8s %14s %10s %10s %16s\n", "transport", "clients",
+              "commits/s", "p50 us", "p99 us", "cpu us/commit");
+  for (bool tcp : {false, true}) {
+    for (int clients : {1, 4}) {
+      std::unique_ptr<net::Transport> transport;
+      if (tcp) {
+        transport = std::make_unique<net::TcpTransport>();
+      } else {
+        transport = std::make_unique<net::LoopbackTransport>();
+      }
+      RunResult r = RunClients(clients, /*group_commit=*/true,
+                               kRoundTripsPerClient, *transport,
+                               tcp ? "127.0.0.1:0" : "bench",
+                               std::chrono::microseconds(0));
+      const char* name = tcp ? "tcp" : "loopback";
+      const double p50 = Quantile(r.latencies_us, 0.50);
+      const double p99 = Quantile(r.latencies_us, 0.99);
+      const double cpu_per_commit = r.cpu_us / r.commits;
+      std::printf("%10s %8d %14.0f %10.1f %10.1f %16.1f\n", name, clients,
+                  r.commits_per_sec(), p50, p99, cpu_per_commit);
+      char params[192];
+      std::snprintf(params, sizeof(params),
+                    "transport=%s,clients=%d,commits_per_sec=%.0f,"
+                    "p50_us=%.1f,p99_us=%.1f,cpu_us_per_commit=%.1f",
+                    name, clients, r.commits_per_sec(), p50, p99,
+                    cpu_per_commit);
+      json.Add("server_round_trip", params, r.mean_us(), r.stddev_us());
     }
   }
 

@@ -1,5 +1,6 @@
 #include "src/net/loopback.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <utility>
@@ -14,6 +15,11 @@ struct FrameQueue {
   std::condition_variable cv;
   std::deque<Bytes> frames;
   bool closed = false;
+  // frames.size(), plus one once closed: nonzero exactly when Pop would
+  // return at once. Written under mu; Ready reads it without the lock.
+  std::atomic<size_t> ready{0};
+
+  bool Ready() const { return ready.load() != 0; }
 
   Status Push(ByteView frame) {
     {
@@ -22,6 +28,7 @@ struct FrameQueue {
         return IoError("loopback connection closed");
       }
       frames.emplace_back(frame.begin(), frame.end());
+      PublishReady();
     }
     cv.notify_one();
     return OkStatus();
@@ -38,6 +45,7 @@ struct FrameQueue {
     }
     Bytes frame = std::move(frames.front());
     frames.pop_front();
+    PublishReady();
     return frame;
   }
 
@@ -45,9 +53,13 @@ struct FrameQueue {
     {
       std::lock_guard<std::mutex> lock(mu);
       closed = true;
+      PublishReady();
     }
     cv.notify_all();
   }
+
+  // Caller holds mu.
+  void PublishReady() { ready.store(frames.size() + (closed ? 1 : 0)); }
 };
 
 class LoopbackConnection final : public Connection {
@@ -67,6 +79,8 @@ class LoopbackConnection final : public Connection {
   Result<Bytes> Recv(std::chrono::milliseconds timeout) override {
     return in_->Pop(timeout);
   }
+
+  bool Readable() const override { return in_->Ready(); }
 
   void Close() override {
     in_->Close();

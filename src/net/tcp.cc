@@ -6,12 +6,14 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 
 namespace tdb::net {
 
@@ -107,8 +109,11 @@ class TcpConnection final : public Connection {
                          static_cast<uint8_t>(frame.size() >> 16),
                          static_cast<uint8_t>(frame.size() >> 8),
                          static_cast<uint8_t>(frame.size())};
-    TDB_RETURN_IF_ERROR(WriteAll(header, sizeof(header), deadline));
-    return WriteAll(frame.data(), frame.size(), deadline);
+    // Header and body go out in one call, so with TCP_NODELAY a small frame
+    // leaves as one segment and the peer never wakes for the header alone.
+    iovec parts[2] = {{header, sizeof(header)},
+                      {const_cast<uint8_t*>(frame.data()), frame.size()}};
+    return WriteAll(parts, deadline);
   }
 
   Result<Bytes> Recv(std::chrono::milliseconds timeout) override {
@@ -133,6 +138,11 @@ class TcpConnection final : public Connection {
     return body;
   }
 
+  bool Readable() const override {
+    pollfd p{fd_, POLLIN, 0};
+    return ::poll(&p, 1, 0) > 0;  // data, end of stream, or an error
+  }
+
   void Close() override {
     if (!closed_.exchange(true)) {
       // Half-close both directions; the fd itself stays open until the
@@ -144,12 +154,25 @@ class TcpConnection final : public Connection {
   std::string peer() const override { return peer_; }
 
  private:
-  Status WriteAll(const uint8_t* data, size_t n, Clock::time_point deadline) {
-    size_t off = 0;
-    while (off < n) {
-      ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);
+  // Writes every byte of `parts` in order. A sendmsg may take any prefix;
+  // `parts` is advanced past it.
+  Status WriteAll(std::span<iovec> parts, Clock::time_point deadline) {
+    while (!parts.empty()) {
+      msghdr msg{};
+      msg.msg_iov = parts.data();
+      msg.msg_iovlen = parts.size();
+      ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
       if (w > 0) {
-        off += static_cast<size_t>(w);
+        size_t sent = static_cast<size_t>(w);
+        while (!parts.empty() && sent >= parts.front().iov_len) {
+          sent -= parts.front().iov_len;
+          parts = parts.subspan(1);
+        }
+        if (sent > 0) {
+          parts.front().iov_base =
+              static_cast<uint8_t*>(parts.front().iov_base) + sent;
+          parts.front().iov_len -= sent;
+        }
         continue;
       }
       if (w < 0 && errno == EINTR) {

@@ -12,7 +12,8 @@
 //    poll-based read/write timeouts, and graceful shutdown.
 //
 // Threading: a Connection supports one thread in Send concurrently with one
-// thread in Recv; Close may be called from any thread to unblock both.
+// thread in Recv (or Readable); Close may be called from any thread to
+// unblock both.
 // Listener::Accept is single-consumer; Shutdown may be called from any
 // thread and unblocks a pending Accept.
 
@@ -42,6 +43,12 @@ class Connection {
   // `timeout` (the connection remains usable), kIoError once the peer has
   // closed and all delivered frames were consumed.
   virtual Result<Bytes> Recv(std::chrono::milliseconds timeout) = 0;
+
+  // True when Recv would return without waiting for the peer: a frame, or
+  // the first bytes of one, has arrived, or the connection is closed. Never
+  // blocks, so a caller that expects an answer soon can check it for a few
+  // microseconds before it parks in Recv.
+  virtual bool Readable() const = 0;
 
   // Closes both directions and unblocks any in-flight Send/Recv on this
   // connection and, eventually, on the peer. Idempotent.

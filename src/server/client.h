@@ -11,9 +11,11 @@
 // server's object store keeps a transaction's writes until commit anyway).
 // Every other call sends everything queued plus itself in one frame (wire.h)
 // and waits for the answer, so a blind write — Begin, Put, Commit — costs
-// one round trip. Abort of a transaction the server never saw sends
-// nothing. A Put that would grow the queue past kMaxPendingBytes sends the
-// queue first.
+// one round trip. The wait polls the connection for a few tens of
+// microseconds before it parks, so a prompt answer does not pay a thread
+// wake-up (kAnswerPollBudget in client.cc). Abort of a transaction the
+// server never saw sends nothing. A Put that would grow the queue past
+// kMaxPendingBytes sends the queue first.
 //
 // The contract that follows: a deferred call's error is reported by the
 // call that sends it. A begin's kMoved, kNotFound or kInvalidArgument, and a

@@ -12,7 +12,9 @@
 #include <string>
 
 #include "src/chunk/chunk_store.h"
+#include "src/common/crash_point.h"
 #include "src/common/rng.h"
+#include "src/platform/crash_point_trusted.h"
 #include "src/platform/trusted_store.h"
 #include "src/store/faulty_store.h"
 #include "src/store/untrusted_store.h"
@@ -906,6 +908,46 @@ TEST_P(ChunkStoreTest, CommitAnswersOnlyForItsOwnBatch) {
       EXPECT_EQ(*value, BytesFromString("v"));
     }
   }
+}
+
+// A commit whose trusted-store update fails after its batch is flushed: the
+// counter advance in counter mode, the register write in direct mode. The
+// commit reports the failure and poisons the store. Reopen, over the same
+// trusted stores, keeps the batch in counter mode, where the log may lead
+// the counter by one commit, and drops it in direct mode, where the
+// register still names the old tail.
+TEST_P(ChunkStoreTest, FailedTrustedStoreUpdateFailsTheCommit) {
+  rig_.options().validation.delta_ut = 1;  // one counter advance per commit
+  TrustedServices base = rig_.trusted();
+  CrashPointController trusted_updates;
+  CrashPointRegister reg(base.register_store, &trusted_updates);
+  CrashPointCounter counter(base.counter, &trusted_updates);
+  ChunkId id;
+  {
+    auto cs = ChunkStore::Create(
+        &rig_.store(), TrustedServices{base.secret, &reg, &counter},
+        rig_.options());
+    ASSERT_TRUE(cs.ok()) << cs.status();
+    PartitionId p = MakePartition(**cs);
+    id = *(*cs)->AllocateChunk(p);
+    ASSERT_TRUE((*cs)->WriteChunk(id, BytesFromString("old")).ok());
+    trusted_updates.Arm(0);  // the next counter advance or register write
+    Status committed = (*cs)->WriteChunk(id, BytesFromString("new"));
+    EXPECT_EQ(committed.ToString(),
+              CrashPointController::CrashedStatus().ToString());
+    EXPECT_EQ(trusted_updates.points(), 1u);
+    Status next = (*cs)->Read(id).status();
+    EXPECT_EQ(next.code(), StatusCode::kFailedPrecondition) << next;
+    EXPECT_NE(next.ToString().find(committed.ToString()), std::string::npos)
+        << "the poison does not name its cause: " << next;
+  }
+  rig_.store().Crash();
+  auto reopened = rig_.Open();
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  Result<Bytes> value = (*reopened)->Read(id);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(StringFromBytes(*value),
+            GetParam() == ValidationMode::kCounter ? "new" : "old");
 }
 
 // The residual log of a 32 x 2 KiB store after 40 commits of 200 B: it spans

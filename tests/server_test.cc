@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -1245,6 +1246,202 @@ TEST_F(ServerTest, StatsRoundTripOverTcp) {
   client.Disconnect();
   server.Stop();
   obs::MetricsRegistry::Instance().Disable();
+}
+
+// The client's wait for an answer, against a peer the test plays by hand on
+// each transport, so the test decides when, and whether, the answer comes.
+// The client polls for tens of microseconds before it parks in Recv;
+// kAnswerLate is far past that.
+constexpr auto kAnswerLate = std::chrono::milliseconds(50);
+constexpr auto kPeerIo = std::chrono::milliseconds(5000);
+
+Bytes OkAnswer() { return EncodeResponses({ResponseFromStatus(OkStatus())}); }
+
+class AnswerWaitTest : public ::testing::TestWithParam<bool> {
+ protected:
+  bool tcp() const { return GetParam(); }
+
+  void SetUp() override {
+    if (tcp()) {
+      transport_ = std::make_unique<net::TcpTransport>();
+    } else {
+      transport_ = std::make_unique<net::LoopbackTransport>();
+    }
+    auto listener = transport_->Listen(tcp() ? "127.0.0.1:0" : "peer");
+    if (!listener.ok()) {
+      GTEST_SKIP() << "cannot listen: " << listener.status();
+    }
+    listener_ = std::move(*listener);
+  }
+
+  // Connects `client` and returns the peer's end of its connection.
+  std::unique_ptr<net::Connection> Connect(TdbClient& client) {
+    EXPECT_TRUE(client.Connect(transport_.get(), listener_->address()).ok());
+    auto peer = listener_->Accept(kPeerIo);
+    EXPECT_TRUE(peer.ok()) << peer.status();
+    return peer.ok() ? std::move(*peer) : nullptr;
+  }
+
+  TypeRegistry registry_;
+  std::unique_ptr<net::Transport> transport_;
+  std::unique_ptr<net::Listener> listener_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Transports, AnswerWaitTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Tcp" : "Loopback";
+                         });
+
+TEST_P(AnswerWaitTest, AnswerAfterThePollBudgetWakesTheParkedClient) {
+  TdbClient client(&registry_);
+  std::unique_ptr<net::Connection> peer = Connect(client);
+  ASSERT_NE(peer, nullptr);
+  std::thread server([&] {
+    ASSERT_TRUE(peer->Recv(kPeerIo).ok());
+    std::this_thread::sleep_for(kAnswerLate);
+    EXPECT_TRUE(peer->Send(OkAnswer(), kPeerIo).ok());
+  });
+  const auto start = std::chrono::steady_clock::now();
+  Status pinged = client.Ping();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  server.join();
+  EXPECT_TRUE(pinged.ok()) << pinged;
+  EXPECT_GE(waited, kAnswerLate);
+}
+
+TEST_P(AnswerWaitTest, PeerThatClosesWhileTheClientWaitsIsAnIoErrorAtOnce) {
+  TdbClientOptions options;
+  options.request_timeout = std::chrono::milliseconds(30000);
+  TdbClient client(&registry_, options);
+  std::unique_ptr<net::Connection> peer = Connect(client);
+  ASSERT_NE(peer, nullptr);
+  std::thread server([&] {
+    ASSERT_TRUE(peer->Recv(kPeerIo).ok());
+    peer->Close();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  Status pinged = client.Ping();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  server.join();
+  EXPECT_EQ(pinged.code(), StatusCode::kIoError) << pinged;
+  EXPECT_LT(waited, kPeerIo) << "the close waited for the request timeout";
+}
+
+TEST_P(AnswerWaitTest, AnswerThatNeverComesStillTimesOut) {
+  constexpr auto kRequestTimeout = std::chrono::milliseconds(200);
+  TdbClientOptions options;
+  options.request_timeout = kRequestTimeout;
+  TdbClient client(&registry_, options);
+  std::unique_ptr<net::Connection> peer = Connect(client);
+  ASSERT_NE(peer, nullptr);
+  // The peer takes the frame, then neither answers nor closes.
+  std::thread server([&] { EXPECT_TRUE(peer->Recv(kPeerIo).ok()); });
+  const auto start = std::chrono::steady_clock::now();
+  Status pinged = client.Ping();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  server.join();
+  EXPECT_EQ(pinged.code(), StatusCode::kTimeout) << pinged;
+  EXPECT_GE(waited, kRequestTimeout);
+}
+
+bool RecvAll(int fd, uint8_t* data, size_t n) {
+  for (size_t off = 0; off < n;) {
+    ssize_t r = ::recv(fd, data + off, n - off, 0);
+    if (r <= 0) {
+      return false;
+    }
+    off += static_cast<size_t>(r);
+  }
+  return true;
+}
+
+// Over TCP an answer's length can arrive before its body. Here a raw socket
+// sends the length before the client even asks, so the client's poll ends
+// at once; the client must still wait for the body, which comes well after
+// the poll budget.
+TEST(AnswerWaitTcpTest, BodyThatFollowsItsLengthLateIsReassembled) {
+  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t addr_len = sizeof(addr);
+  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(listen_fd, 1) != 0 ||
+      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                    &addr_len) != 0) {
+    ::close(listen_fd);
+    GTEST_SKIP() << "TCP unavailable in this environment";
+  }
+  TypeRegistry registry;
+  net::TcpTransport tcp;
+  TdbClient client(&registry);
+  ASSERT_TRUE(client
+                  .Connect(&tcp, "127.0.0.1:" +
+                                     std::to_string(ntohs(addr.sin_port)))
+                  .ok());
+  int fd = ::accept(listen_fd, nullptr, nullptr);
+  ::close(listen_fd);
+  ASSERT_GE(fd, 0);
+  timeval io_timeout{.tv_sec = 5, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &io_timeout, sizeof(io_timeout));
+
+  const Bytes answer = OkAnswer();
+  const uint8_t answer_length[4] = {static_cast<uint8_t>(answer.size() >> 24),
+                                    static_cast<uint8_t>(answer.size() >> 16),
+                                    static_cast<uint8_t>(answer.size() >> 8),
+                                    static_cast<uint8_t>(answer.size())};
+  ASSERT_EQ(::send(fd, answer_length, 4, MSG_NOSIGNAL), 4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // delivered
+  std::thread server([fd, &answer] {
+    uint8_t length[4];
+    ASSERT_TRUE(RecvAll(fd, length, sizeof(length)));
+    std::vector<uint8_t> request(static_cast<size_t>(length[0]) << 24 |
+                                 static_cast<size_t>(length[1]) << 16 |
+                                 static_cast<size_t>(length[2]) << 8 |
+                                 length[3]);
+    ASSERT_TRUE(RecvAll(fd, request.data(), request.size()));
+    std::this_thread::sleep_for(kAnswerLate);
+    ASSERT_EQ(::send(fd, answer.data(), answer.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(answer.size()));
+  });
+  Status pinged = client.Ping();
+  server.join();
+  client.Disconnect();
+  ::close(fd);
+  EXPECT_TRUE(pinged.ok()) << pinged;
+}
+
+// TcpConnection::Send writes the length and the body with one sendmsg. A
+// frame far larger than the socket buffers leaves in many partial sends,
+// and an empty frame as its four length bytes alone; both arrive whole.
+TEST(TcpFrameTest, PartialSendsAndEmptyFramesArriveWhole) {
+  net::TcpTransport tcp;
+  auto listener = tcp.Listen("127.0.0.1:0");
+  if (!listener.ok()) {
+    GTEST_SKIP() << "TCP unavailable in this environment: "
+                 << listener.status();
+  }
+  auto sending = tcp.Connect((*listener)->address(), kPeerIo);
+  ASSERT_TRUE(sending.ok()) << sending.status();
+  auto receiving = (*listener)->Accept(kPeerIo);
+  ASSERT_TRUE(receiving.ok()) << receiving.status();
+  Bytes big(8 << 20);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i * 131 + (i >> 16));
+  }
+  std::thread sender([&] {
+    EXPECT_TRUE((*sending)->Send(big, kPeerIo).ok());
+    EXPECT_TRUE((*sending)->Send(Bytes{}, kPeerIo).ok());
+  });
+  Result<Bytes> got = (*receiving)->Recv(kPeerIo);
+  Result<Bytes> empty = (*receiving)->Recv(kPeerIo);
+  sender.join();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(*got == big) << "the large frame arrived changed";
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty->empty());
 }
 
 }  // namespace
