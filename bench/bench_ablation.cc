@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/obs/profiler.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 
@@ -28,9 +27,9 @@ void AblationValidationModes() {
     ChunkId id = *rig.chunks->AllocateChunk(partition);
     Rng rng(BenchSeed() + 3);
     (void)rig.chunks->WriteChunk(id, rng.NextBytes(512));
-    Profiler& profiler = Profiler::Instance();
-    profiler.Reset();
-    profiler.Enable();
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Instance();
+    metrics.Reset();
+    metrics.Enable();
     RunningStats stats;
     const int kCommits = 200;
     for (int i = 0; i < kCommits; ++i) {
@@ -41,11 +40,11 @@ void AblationValidationModes() {
         }
       }));
     }
-    profiler.Disable();
+    metrics.Disable();
     std::printf("%-12s %12.1f %18llu\n",
                 mode == ValidationMode::kDirectHash ? "direct" : "counter",
                 stats.mean(),
-                (unsigned long long)profiler.GetCount(
+                (unsigned long long)metrics.GetCounter(
                     "tamper_resistant_store.writes"));
   }
   std::printf(
@@ -66,9 +65,9 @@ void AblationDeltaUt() {
     PartitionId partition = MakePartition(*rig.chunks);
     ChunkId id = *rig.chunks->AllocateChunk(partition);
     (void)rig.chunks->WriteChunk(id, rng.NextBytes(512));
-    Profiler& profiler = Profiler::Instance();
-    profiler.Reset();
-    profiler.Enable();
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Instance();
+    metrics.Reset();
+    metrics.Enable();
     RunningStats stats;
     for (int i = 0; i < kCommits; ++i) {
       Bytes payload = rng.NextBytes(512);
@@ -76,9 +75,9 @@ void AblationDeltaUt() {
         (void)rig.chunks->WriteChunk(id, std::move(payload));
       }));
     }
-    profiler.Disable();
+    metrics.Disable();
     uint64_t trusted_writes =
-        profiler.GetCount("tamper_resistant_store.writes");
+        metrics.GetCounter("tamper_resistant_store.writes");
     double modeled =
         stats.mean() +
         (static_cast<double>(trusted_writes) / kCommits) *

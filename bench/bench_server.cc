@@ -13,7 +13,10 @@
 // and the queue hop — run with kFlushLatency = 0 to see that floor.
 //
 // Each client owns a distinct object, so transactions never conflict and
-// lock waits stay out of the measurement.
+// lock waits stay out of the measurement. The commit sweeps run every
+// configuration for kConfigDuration of wall time, not a fixed number of
+// commits, so a row's rate averages over seconds, not over a fraction of
+// one.
 //
 // The metrics registry is always on for this bench: the per-op wire
 // histograms (wire.op.commit.us, wire.op.get.us) are where the reported
@@ -70,6 +73,11 @@ struct RunResult {
 
 constexpr std::chrono::microseconds kFlushLatency{500};
 
+// How long each configuration of the commit sweeps runs: clients start
+// new transactions until this much wall time has passed since the timed
+// section began.
+constexpr std::chrono::seconds kConfigDuration{2};
+
 double ProcessCpuUs() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -78,8 +86,8 @@ double ProcessCpuUs() {
 }
 
 // `address` is where the server listens on `transport`.
-RunResult RunClients(int clients, bool group_commit, int commits_per_client,
-                     net::Transport& transport, const std::string& address,
+RunResult RunClients(int clients, bool group_commit, net::Transport& transport,
+                     const std::string& address,
                      std::chrono::microseconds flush_latency) {
   Rig rig = MakeRig(/*segment_size=*/256 * 1024, /*num_segments=*/2048,
                     ValidationMode::kCounter, /*delta_ut=*/5,
@@ -117,10 +125,10 @@ RunResult RunClients(int clients, bool group_commit, int commits_per_client,
   }
 
   RunResult result;
-  result.commits = static_cast<uint64_t>(clients) * commits_per_client;
   std::vector<std::vector<double>> per_client(clients);
   obs::MetricsRegistry::Instance().Reset();  // per-config tails
   const double cpu_start_us = ProcessCpuUs();
+  const auto deadline = std::chrono::steady_clock::now() + kConfigDuration;
   result.wall_us = TimeUs([&] {
     std::vector<std::thread> threads;
     threads.reserve(clients);
@@ -130,8 +138,7 @@ RunResult RunClients(int clients, bool group_commit, int commits_per_client,
         if (!client.Connect(&transport, server.address()).ok()) {
           std::abort();
         }
-        per_client[c].reserve(commits_per_client);
-        for (int i = 0; i < commits_per_client; ++i) {
+        for (int i = 0; std::chrono::steady_clock::now() < deadline; ++i) {
           double us = TimeUs([&] {
             if (!client.Begin().ok() ||
                 !client.Put(ids[c], BlobValue("v" + std::to_string(i))).ok() ||
@@ -155,6 +162,7 @@ RunResult RunClients(int clients, bool group_commit, int commits_per_client,
     result.latencies_us.insert(result.latencies_us.end(), samples.begin(),
                                samples.end());
   }
+  result.commits = result.latencies_us.size();
   return result;
 }
 
@@ -164,8 +172,7 @@ RunResult RunClients(int clients, bool group_commit, int commits_per_client,
 // partitions merge into a single chunk-store commit and one flush amortizes
 // across the whole fleet — aggregate commits/s should grow with partitions
 // even though the chunk store serializes commits.
-RunResult RunPartitioned(int partitions, int clients_per_partition,
-                         int commits_per_client) {
+RunResult RunPartitioned(int partitions, int clients_per_partition) {
   Rig rig = MakeRig(/*segment_size=*/256 * 1024, /*num_segments=*/2048,
                     ValidationMode::kCounter, /*delta_ut=*/5,
                     /*crypto_threads=*/SIZE_MAX, kFlushLatency);
@@ -191,7 +198,7 @@ RunResult RunPartitioned(int partitions, int clients_per_partition,
 
   net::LoopbackTransport transport;
   TdbServerOptions options;
-  options.group_commit = true;  // combine_commits defaults on
+  options.group_commit = true;
   TdbServer server(rig.chunks.get(), directory->get(), &registry, options);
   if (!server.Start(&transport, "bench").ok()) {
     std::fprintf(stderr, "server start failed\n");
@@ -223,9 +230,9 @@ RunResult RunPartitioned(int partitions, int clients_per_partition,
   }
 
   RunResult result;
-  result.commits = static_cast<uint64_t>(total_clients) * commits_per_client;
   std::vector<std::vector<double>> per_client(total_clients);
   obs::MetricsRegistry::Instance().Reset();  // per-config tails
+  const auto deadline = std::chrono::steady_clock::now() + kConfigDuration;
   result.wall_us = TimeUs([&] {
     std::vector<std::thread> threads;
     threads.reserve(total_clients);
@@ -236,8 +243,7 @@ RunResult RunPartitioned(int partitions, int clients_per_partition,
         if (!client.Connect(&transport, server.address()).ok()) {
           std::abort();
         }
-        per_client[t].reserve(commits_per_client);
-        for (int i = 0; i < commits_per_client; ++i) {
+        for (int i = 0; std::chrono::steady_clock::now() < deadline; ++i) {
           double us = TimeUs([&] {
             if (!client.Begin(pid).ok() ||
                 !client.Put(ids[t], BlobValue("v" + std::to_string(i))).ok() ||
@@ -260,6 +266,7 @@ RunResult RunPartitioned(int partitions, int clients_per_partition,
     result.latencies_us.insert(result.latencies_us.end(), samples.begin(),
                                samples.end());
   }
+  result.commits = result.latencies_us.size();
   return result;
 }
 
@@ -362,7 +369,6 @@ int Run(int argc, char** argv) {
   // --obs.
   obs::MetricsRegistry::Instance().Enable();
 
-  constexpr int kCommitsPerClient = 200;
   const int kClientCounts[] = {1, 2, 4, 8};
 
   PrintHeader("server: commit throughput vs clients, group commit off/on");
@@ -373,8 +379,8 @@ int Run(int argc, char** argv) {
     double off_rate = 0.0;
     for (bool group : {false, true}) {
       net::LoopbackTransport loopback;
-      RunResult r = RunClients(clients, group, kCommitsPerClient, loopback,
-                               "bench", kFlushLatency);
+      RunResult r =
+          RunClients(clients, group, loopback, "bench", kFlushLatency);
       if (!group) {
         off_rate = r.commits_per_sec();
       }
@@ -396,7 +402,6 @@ int Run(int argc, char** argv) {
     }
   }
 
-  constexpr int kRoundTripsPerClient = 5000;
   PrintHeader("server: write round trip, no modelled flush, group commit on");
   std::printf("%10s %8s %14s %10s %10s %16s\n", "transport", "clients",
               "commits/s", "p50 us", "p99 us", "cpu us/commit");
@@ -408,8 +413,7 @@ int Run(int argc, char** argv) {
       } else {
         transport = std::make_unique<net::LoopbackTransport>();
       }
-      RunResult r = RunClients(clients, /*group_commit=*/true,
-                               kRoundTripsPerClient, *transport,
+      RunResult r = RunClients(clients, /*group_commit=*/true, *transport,
                                tcp ? "127.0.0.1:0" : "bench",
                                std::chrono::microseconds(0));
       const char* name = tcp ? "tcp" : "loopback";
@@ -465,8 +469,7 @@ int Run(int argc, char** argv) {
   double one_partition_rate = 0.0;
   for (int partitions : kPartitionCounts) {
     constexpr int kClientsPerPartition = 8;
-    RunResult r =
-        RunPartitioned(partitions, kClientsPerPartition, kCommitsPerClient);
+    RunResult r = RunPartitioned(partitions, kClientsPerPartition);
     if (partitions == 1) {
       one_partition_rate = r.commits_per_sec();
     }
@@ -496,8 +499,7 @@ int Run(int argc, char** argv) {
   double fixed_base_rate = 0.0;
   for (int partitions : kPartitionCounts) {
     const int clients_per_partition = 8 / partitions;
-    RunResult r =
-        RunPartitioned(partitions, clients_per_partition, kCommitsPerClient);
+    RunResult r = RunPartitioned(partitions, clients_per_partition);
     if (partitions == 1) {
       fixed_base_rate = r.commits_per_sec();
     }

@@ -55,8 +55,11 @@ ExperimentResult RunTdb(bool bind) {
   for (int rep = 0; rep < kRepetitions; ++rep) {
     (*ws)->ResetCounts();
     Profiler& profiler = Profiler::Instance();
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Instance();
     profiler.Reset();
+    metrics.Reset();
     profiler.Enable();
+    metrics.Enable();
     double us = TimeUs([&] {
       Status status = bind ? workload.RunBindExperiment(kOpsPerExperiment)
                            : workload.RunReleaseExperiment(kOpsPerExperiment);
@@ -67,9 +70,10 @@ ExperimentResult RunTdb(bool bind) {
       }
     });
     profiler.Disable();
+    metrics.Disable();
     result.total_ms.Add(us / 1000.0);
-    uint64_t flushes = profiler.GetCount("untrusted_store.flushes");
-    uint64_t trusted = profiler.GetCount("tamper_resistant_store.writes");
+    uint64_t flushes = metrics.GetCounter("untrusted_store.flushes");
+    uint64_t trusted = metrics.GetCounter("tamper_resistant_store.writes");
     result.untrusted_flushes += static_cast<double>(flushes) / kRepetitions;
     result.trusted_writes += static_cast<double>(trusted) / kRepetitions;
     result.modeled_ms.Add(us / 1000.0 + flushes * kModelUntrustedFlushMs +

@@ -6,16 +6,15 @@
 //   tdb_stats [--json <path>]
 //   tdb_stats --connect <host:port> [--reset] [--json <path>]
 //
-// With `--connect` no local workload runs: the tool fetches the live
-// server's snapshot over the wire (the kStats op), prints the same module
-// breakdown, derived ratios, and a per-op latency tail table
-// (p50/p95/p99/p999 of the wire.op.* histograms), and — with `--reset` —
-// then zeroes the server's metrics so the next fetch covers a fresh
-// interval.
+// Both modes render one obs::StatsSnapshot with the same printers and
+// sections: module breakdown, counters, gauges, derived ratios, partitions
+// and latency tails (p50/p95/p99/p999 of every registry histogram). With
+// `--connect` no local workload runs: the snapshot is the live server's,
+// fetched over the wire (the kStats op), and `--reset` then zeroes the
+// server's metrics so the next fetch covers a fresh interval. With `--json`
+// the snapshot's obs::ToJson document is also written to <path>.
 //
-// With `--json` the full obs::SnapshotJson() document (local or fetched)
-// is written to <path>; otherwise it is printed after the human-readable
-// tables. The local phases:
+// The local phases:
 //
 //   1. vending   - the §9.5 vending workload (collection store, object
 //                  store, chunk store, crypto) for module attribution
@@ -27,8 +26,8 @@
 //   5. snapshot  - read-only snapshot transactions over an object store
 //                  (sharded-cache and snapshot lifecycle counters)
 
-#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -37,15 +36,13 @@
 #include "src/backup/backup_store.h"
 #include "src/chunk/chunk_store.h"
 #include "src/common/rng.h"
-#include "src/object/object_store.h"
-#include "src/obs/metrics.h"
-#include "src/server/blob.h"
 #include "src/net/tcp.h"
-#include "src/obs/profiler.h"
+#include "src/object/object_store.h"
 #include "src/obs/snapshot.h"
 #include "src/paging/trusted_pager.h"
-#include "src/server/client.h"
 #include "src/platform/trusted_store.h"
+#include "src/server/blob.h"
+#include "src/server/client.h"
 #include "src/store/untrusted_store.h"
 #include "src/workload/tdb_backend.h"
 #include "src/workload/vending.h"
@@ -57,10 +54,6 @@ namespace {
 void Fail(const char* what, const Status& status) {
   std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
   std::abort();
-}
-
-uint64_t Counter(const char* name) {
-  return obs::MetricsRegistry::Instance().GetCounter(name);
 }
 
 void RunVendingPhase(ChunkStore* chunks) {
@@ -235,315 +228,51 @@ void RunSnapshotPhase(ChunkStore* chunks) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// One renderer for both modes: every section of one snapshot, taken here or
+// fetched from a server, in the same order.
+
 // Figure 12 reports per-module runtime with nested calls excluded; the
 // Profiler's ProfileScope does the same exclusion, so the table is a direct
-// readout of its snapshot.
-void PrintModuleBreakdown() {
-  std::vector<Profiler::Entry> entries = Profiler::Instance().Snapshot();
+// readout of the snapshot's modules (largest first).
+void PrintModules(const obs::StatsSnapshot& s) {
   double total_us = 0;
-  for (const Profiler::Entry& e : entries) {
+  for (const Profiler::Entry& e : s.modules) {
     total_us += e.total_us;
   }
-  std::printf("\n== Figure-12-style module breakdown (all phases) ==\n");
+  std::printf("\n== Figure-12-style module breakdown ==\n");
   std::printf("%-26s %12s %10s %7s\n", "module", "total_ms", "calls", "%");
-  for (const Profiler::Entry& e : entries) {
+  for (const Profiler::Entry& e : s.modules) {
     std::printf("%-26s %12.2f %10llu %6.1f%%\n", e.module.c_str(),
                 e.total_us / 1000.0, (unsigned long long)e.calls,
                 total_us > 0 ? 100.0 * e.total_us / total_us : 0.0);
   }
   std::printf("%-26s %12.2f %10s %6.1f%%\n", "TOTAL (instrumented)",
               total_us / 1000.0, "-", 100.0);
-  std::printf(
-      "untrusted store flushes: %llu, tamper-resistant writes: %llu "
-      "(device latency is modeled, not measured; see bench_vending)\n",
-      (unsigned long long)Profiler::Instance().GetCount(
-          "untrusted_store.flushes"),
-      (unsigned long long)Profiler::Instance().GetCount(
-          "tamper_resistant_store.writes"));
 }
 
-void PrintDerived() {
-  std::printf("\n== cleaning overhead and cache ratios ==\n");
-  uint64_t appended = Counter("chunk.log_bytes_appended");
-  uint64_t rewritten = Counter("cleaner.bytes_rewritten");
-  std::printf(
-      "cleaning overhead u = bytes rewritten by cleaner / bytes appended "
-      "= %llu / %llu = %.4f\n",
-      (unsigned long long)rewritten, (unsigned long long)appended,
-      appended > 0 ? static_cast<double>(rewritten) / appended : 0.0);
-  for (const auto& [name, value] : obs::DerivedRatios()) {
-    std::printf("%-28s %.4f\n", name.c_str(), value);
-  }
-  std::printf("object cache: %llu hits, %llu misses; pager: %llu faults, "
-              "%llu evictions, %llu writebacks\n",
-              (unsigned long long)Counter("object.cache_hits"),
-              (unsigned long long)Counter("object.cache_misses"),
-              (unsigned long long)Counter("paging.faults"),
-              (unsigned long long)Counter("paging.evictions"),
-              (unsigned long long)Counter("paging.writebacks"));
-  std::printf("sharded caches: %llu hits, %llu misses, %llu evictions; "
-              "validated chunks: %llu hits, %llu misses\n",
-              (unsigned long long)Counter("cache.shard_hits"),
-              (unsigned long long)Counter("cache.shard_misses"),
-              (unsigned long long)Counter("cache.shard_evictions"),
-              (unsigned long long)Counter("chunk.vcache_hits"),
-              (unsigned long long)Counter("chunk.vcache_misses"));
-  std::printf("snapshots: %llu created, %llu reused, %llu deallocated\n",
-              (unsigned long long)Counter("snapshot.created"),
-              (unsigned long long)Counter("snapshot.reused"),
-              (unsigned long long)Counter("snapshot.deallocated"));
-}
-
-// Latency tails straight from the in-process registry's bucketed
-// histograms (commit, lock wait, group-commit batch/wait, wire ops, ...).
-void PrintLocalTails() {
-  auto hists = obs::MetricsRegistry::Instance().Histograms();
-  if (hists.empty()) {
-    return;
-  }
-  std::printf("\n== latency tails (us, registry histograms) ==\n");
-  std::printf("%-30s %10s %10s %10s %10s %10s %10s\n", "histogram", "count",
-              "mean", "p50", "p95", "p99", "p999");
-  for (const auto& h : hists) {
-    std::printf("%-30s %10llu %10.1f %10.1f %10.1f %10.1f %10.1f\n",
-                h.name.c_str(), (unsigned long long)h.count, h.mean(),
-                h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99),
-                h.Quantile(0.999));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Remote mode: fetch a live server's snapshot over the wire and render the
-// same tables from the JSON instead of the in-process registries.
-
-// Just enough JSON to read obs::SnapshotJson(): objects, arrays, strings,
-// numbers, booleans. No escapes beyond the ones JsonEscape emits.
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-  double NumberOr(const std::string& key, double def = 0.0) const {
-    const JsonValue* v = Find(key);
-    return v != nullptr && v->type == Type::kNumber ? v->number : def;
-  }
-  std::string StringOr(const std::string& key) const {
-    const JsonValue* v = Find(key);
-    return v != nullptr && v->type == Type::kString ? v->string : std::string();
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue& out) { return ParseValue(out) && (Skip(), pos_ == text_.size()); }
-
- private:
-  void Skip() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(const char* word) {
-    size_t n = std::strlen(word);
-    if (text_.compare(pos_, n, word) != 0) {
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  bool ParseString(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return false;
-    }
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char e = text_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u':
-            // JsonEscape only emits \u00xx for control bytes; decode the
-            // low byte and drop the rest.
-            if (pos_ + 4 <= text_.size()) {
-              out += static_cast<char>(
-                  std::strtoul(text_.substr(pos_ + 2, 2).c_str(), nullptr, 16));
-              pos_ += 4;
-            }
-            break;
-          default: out += e;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ParseValue(JsonValue& out) {
-    Skip();
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.type = JsonValue::Type::kObject;
-      Skip();
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        Skip();
-        std::string key;
-        if (!ParseString(key)) {
-          return false;
-        }
-        Skip();
-        if (pos_ >= text_.size() || text_[pos_++] != ':') {
-          return false;
-        }
-        if (!ParseValue(out.object[key])) {
-          return false;
-        }
-        Skip();
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        char d = text_[pos_++];
-        if (d == '}') {
-          return true;
-        }
-        if (d != ',') {
-          return false;
-        }
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out.type = JsonValue::Type::kArray;
-      Skip();
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        out.array.emplace_back();
-        if (!ParseValue(out.array.back())) {
-          return false;
-        }
-        Skip();
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        char d = text_[pos_++];
-        if (d == ']') {
-          return true;
-        }
-        if (d != ',') {
-          return false;
-        }
-      }
-    }
-    if (c == '"') {
-      out.type = JsonValue::Type::kString;
-      return ParseString(out.string);
-    }
-    if (c == 't' || c == 'f') {
-      out.type = JsonValue::Type::kBool;
-      out.boolean = c == 't';
-      return Literal(c == 't' ? "true" : "false");
-    }
-    if (c == 'n') {
-      out.type = JsonValue::Type::kNull;
-      return Literal("null");
-    }
-    char* end = nullptr;
-    out.number = std::strtod(text_.c_str() + pos_, &end);
-    if (end == text_.c_str() + pos_) {
-      return false;
-    }
-    out.type = JsonValue::Type::kNumber;
-    pos_ = static_cast<size_t>(end - text_.c_str());
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-void PrintRemoteModules(const JsonValue& root) {
-  const JsonValue* modules = root.Find("modules");
-  if (modules == nullptr || modules->type != JsonValue::Type::kArray) {
-    return;
-  }
-  double total_us = 0.0;
-  for (const JsonValue& m : modules->array) {
-    total_us += m.NumberOr("total_us");
-  }
-  std::printf("\n== Figure-12-style module breakdown (remote) ==\n");
-  std::printf("%-26s %12s %10s %7s\n", "module", "total_ms", "calls", "%");
-  for (const JsonValue& m : modules->array) {
-    double us = m.NumberOr("total_us");
-    std::printf("%-26s %12.2f %10llu %6.1f%%\n", m.StringOr("module").c_str(),
-                us / 1000.0, (unsigned long long)m.NumberOr("calls"),
-                total_us > 0 ? 100.0 * us / total_us : 0.0);
-  }
-  std::printf("%-26s %12.2f %10s %6.1f%%\n", "TOTAL (instrumented)",
-              total_us / 1000.0, "-", 100.0);
-}
-
-void PrintRemoteDerived(const JsonValue& root) {
-  const JsonValue* derived = root.Find("derived");
-  if (derived != nullptr && !derived->object.empty()) {
-    std::printf("\n== derived ratios (remote) ==\n");
-    for (const auto& [name, v] : derived->object) {
-      std::printf("%-28s %.4f\n", name.c_str(), v.number);
-    }
-  }
-  const JsonValue* gauges = root.Find("gauges");
-  if (gauges != nullptr && !gauges->object.empty()) {
-    std::printf("\n== server gauges ==\n");
-    for (const auto& [name, v] : gauges->object) {
-      std::printf("%-34s %.0f\n", name.c_str(), v.number);
-    }
+// A section of named values (counters, gauges or derived ratios), each
+// printed with `value_format`.
+template <typename V>
+void PrintValues(const char* title, const std::map<std::string, V>& values,
+                 const char* value_format) {
+  std::printf("\n== %s ==\n", title);
+  for (const auto& [name, v] : values) {
+    std::printf("%-40s ", name.c_str());
+    std::printf(value_format, static_cast<double>(v));
+    std::printf("\n");
   }
 }
 
 // The per-partition table of a sharded server, reassembled from the
 // shard.partition.<id>.* gauges the server publishes on every kStats.
-void PrintRemotePartitions(const JsonValue& root) {
-  const JsonValue* gauges = root.Find("gauges");
-  if (gauges == nullptr) {
-    return;
-  }
+void PrintPartitions(const obs::StatsSnapshot& s) {
   struct Row {
     double sessions = 0, commits = 0, queue_depth = 0, state = 0;
   };
   std::map<long, Row> rows;
   const std::string prefix = "shard.partition.";
-  for (const auto& [name, v] : gauges->object) {
+  for (const auto& [name, v] : s.gauges) {
     if (name.compare(0, prefix.size(), prefix) != 0) {
       continue;
     }
@@ -554,13 +283,10 @@ void PrintRemotePartitions(const JsonValue& root) {
     }
     const std::string field = end + 1;
     Row& row = rows[id];
-    if (field == "sessions") row.sessions = v.number;
-    else if (field == "commits") row.commits = v.number;
-    else if (field == "queue_depth") row.queue_depth = v.number;
-    else if (field == "state") row.state = v.number;
-  }
-  if (rows.empty()) {
-    return;
+    if (field == "sessions") row.sessions = v;
+    else if (field == "commits") row.commits = v;
+    else if (field == "queue_depth") row.queue_depth = v;
+    else if (field == "state") row.state = v;
   }
   static const char* kStates[] = {"serving", "draining", "moved"};
   std::printf("\n== partitions ==\n");
@@ -574,21 +300,46 @@ void PrintRemotePartitions(const JsonValue& root) {
   }
 }
 
-void PrintRemoteTails(const JsonValue& root) {
-  const JsonValue* hists = root.Find("histograms");
-  if (hists == nullptr || hists->type != JsonValue::Type::kArray) {
-    return;
-  }
-  std::printf("\n== latency tails (us, remote registry histograms) ==\n");
+// Latency tails from the registry's bucketed histograms (commit, lock wait,
+// group-commit batch/wait, wire ops and stages, ...).
+void PrintTails(const obs::StatsSnapshot& s) {
+  std::printf("\n== latency tails (us, registry histograms) ==\n");
   std::printf("%-30s %10s %10s %10s %10s %10s %10s\n", "histogram", "count",
               "mean", "p50", "p95", "p99", "p999");
-  for (const JsonValue& h : hists->array) {
+  for (const auto& h : s.histograms) {
     std::printf("%-30s %10llu %10.1f %10.1f %10.1f %10.1f %10.1f\n",
-                h.StringOr("name").c_str(),
-                (unsigned long long)h.NumberOr("count"), h.NumberOr("mean"),
-                h.NumberOr("p50"), h.NumberOr("p95"), h.NumberOr("p99"),
-                h.NumberOr("p999"));
+                h.name.c_str(), (unsigned long long)h.count, h.mean(),
+                h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99),
+                h.Quantile(0.999));
   }
+}
+
+// Prints every section of `s`, and writes its JSON to `json_path` when one
+// is given. Returns the exit code.
+int Report(const obs::StatsSnapshot& s, const char* json_path) {
+  PrintModules(s);
+  // Among the counters: the device counts the paper's model multiplies into
+  // its I/O rows (untrusted_store.flushes, tamper_resistant_store.writes).
+  PrintValues("counters", s.counters, "%14.0f");
+  PrintValues("gauges", s.gauges, "%14.3f");
+  // Cache hit ratios, write amplification, log utilization and the
+  // cleaning overhead u = cleaner.bytes_rewritten / log bytes appended.
+  PrintValues("derived ratios", s.derived, "%14.4f");
+  PrintPartitions(s);
+  PrintTails(s);
+  if (json_path == nullptr) {
+    return 0;
+  }
+  std::string json = obs::ToJson(s);
+  std::FILE* f = std::fopen(json_path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", json_path);
+    return 1;
+  }
+  std::fwrite(json.data(), 1, json.size(), f);
+  std::fclose(f);
+  std::printf("\nwrote snapshot to %s\n", json_path);
+  return 0;
 }
 
 int RunRemote(const char* address, bool reset, const char* json_path) {
@@ -600,31 +351,15 @@ int RunRemote(const char* address, bool reset, const char* json_path) {
                  s.ToString().c_str());
     return 1;
   }
-  auto json = client.FetchStats();
-  if (!json.ok()) {
+  auto snapshot = client.FetchStats();
+  if (!snapshot.ok()) {
     std::fprintf(stderr, "stats fetch failed: %s\n",
-                 json.status().ToString().c_str());
-    return 1;
-  }
-  JsonValue root;
-  if (!JsonParser(*json).Parse(root)) {
-    std::fprintf(stderr, "server snapshot is not parseable JSON\n");
+                 snapshot.status().ToString().c_str());
     return 1;
   }
   std::printf("== tdb_stats: remote snapshot from %s ==\n", address);
-  PrintRemoteModules(root);
-  PrintRemoteDerived(root);
-  PrintRemotePartitions(root);
-  PrintRemoteTails(root);
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fwrite(json->data(), 1, json->size(), f);
-    std::fclose(f);
-    std::printf("\nwrote remote snapshot to %s\n", json_path);
+  if (int code = Report(*snapshot, json_path); code != 0) {
+    return code;
   }
   if (reset) {
     if (Status s = client.ResetStats(); !s.ok()) {
@@ -679,24 +414,5 @@ int main(int argc, char** argv) {
   RunBackupPhase(chunks->get());
   RunSnapshotPhase(chunks->get());
   (void)(*chunks)->GetStats();  // publishes the store gauges
-
-  PrintModuleBreakdown();
-  PrintDerived();
-  PrintLocalTails();
-
-  std::string json = obs::SnapshotJson(/*max_trace_events=*/32);
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote metrics snapshot to %s\n", json_path);
-  } else {
-    std::printf("\n== metrics snapshot (obs::SnapshotJson) ==\n%s",
-                json.c_str());
-  }
-  return 0;
+  return Report(obs::TakeSnapshot(/*max_trace_events=*/32), json_path);
 }

@@ -39,6 +39,12 @@
 
 namespace tdb {
 
+// Most transactions an object store's queue leader merges into one batch,
+// and most engine batches the sharded service's store-level combiner merges
+// into one chunk-store commit.
+inline constexpr size_t kGroupCommitMaxBatch = 64;
+inline constexpr size_t kCombineMaxBatch = 256;
+
 class GroupCommitQueue {
  public:
   // `chunks` must outlive the queue. `max_batch` caps how many waiting

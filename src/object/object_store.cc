@@ -18,7 +18,7 @@ ObjectStore::ObjectStore(ChunkStore* chunks, PartitionId partition,
              {"object.cache_evictions", "object_cache"}) {
   if (options_.group_commit) {
     group_commit_ = std::make_unique<GroupCommitQueue>(
-        chunks_, options_.group_commit_max_batch, options_.commit_chain);
+        chunks_, kGroupCommitMaxBatch, options_.commit_chain);
   }
   obs::SetGauge("cache.shards", cache_.shard_count());
 }

@@ -74,11 +74,10 @@ struct ObjectStoreOptions {
   size_t cache_shards = 0;
 
   // Coalesce concurrent Transaction::Commit calls into shared chunk-store
-  // batch commits (group commit). Worth it when many threads/sessions
-  // commit concurrently; a solo committer pays one extra queue hop.
+  // batch commits (group commit), at most kGroupCommitMaxBatch per leader.
+  // Worth it when many threads/sessions commit concurrently; a solo
+  // committer pays one extra queue hop.
   bool group_commit = false;
-  // Most transactions one leader may merge into a single batch.
-  size_t group_commit_max_batch = 64;
   // Optional store-level queue this store's commits chain into (two-level
   // group commit; see group_commit.h). With group_commit set, the store's
   // own queue leader submits merged batches there; without it, every write

@@ -1,5 +1,7 @@
 #include "src/obs/profiler.h"
 
+#include <map>
+
 namespace tdb {
 
 namespace {
@@ -34,7 +36,6 @@ void Profiler::Reset() {
     std::lock_guard<std::mutex> block_lock(b->mu);
     b->entries.clear();
   }
-  counters_.clear();
 }
 
 void Profiler::AddSample(const char* module, double us) {
@@ -64,22 +65,6 @@ std::vector<Profiler::Entry> Profiler::Snapshot() const {
     out.push_back(std::move(e));
   }
   return out;
-}
-
-void Profiler::AddCount(const char* counter, uint64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_[counter] += n;
-}
-
-uint64_t Profiler::GetCount(const std::string& counter) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(counter);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::map<std::string, uint64_t> Profiler::Counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
 }
 
 ProfileScope::ProfileScope(const char* module) : module_(module) {

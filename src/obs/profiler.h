@@ -16,7 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,11 +41,6 @@ class Profiler {
   void AddSample(const char* module, double us);
   std::vector<Entry> Snapshot() const;
 
-  // Named event counters (e.g., store flush counts for §9.5.3).
-  void AddCount(const char* counter, uint64_t n = 1);
-  uint64_t GetCount(const std::string& counter) const;
-  std::map<std::string, uint64_t> Counters() const;
-
  private:
   struct ThreadBlock;
 
@@ -58,9 +52,8 @@ class Profiler {
   ThreadBlock& LocalBlock();
 
   std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;  // guards the block registry and counters_
+  mutable std::mutex mu_;  // guards the block registry
   std::vector<std::shared_ptr<ThreadBlock>> blocks_;
-  std::map<std::string, uint64_t> counters_;
 };
 
 // RAII scope that attributes elapsed time to `module`, excluding time spent
@@ -82,14 +75,6 @@ class ProfileScope {
   Clock::time_point started_;  // start of the current on-top interval
   ProfileScope* parent_ = nullptr;
 };
-
-// Convenience: counts an event if profiling is enabled.
-inline void ProfileCount(const char* counter, uint64_t n = 1) {
-  Profiler& p = Profiler::Instance();
-  if (p.enabled()) {
-    p.AddCount(counter, n);
-  }
-}
 
 }  // namespace tdb
 

@@ -2,61 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <vector>
-
-#include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
-#include "src/obs/trace.h"
+#include <utility>
 
 namespace tdb::obs {
 namespace {
 
-void AppendF(std::string& out, const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  out += buf;
-}
-
-void AppendU(std::string& out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-// Adds num/den to `out` under `key` when the denominator is nonzero.
-void AddRatio(std::map<std::string, double>& out, const char* key,
-              uint64_t num, uint64_t den) {
-  if (den != 0) {
-    out[key] = static_cast<double>(num) / static_cast<double>(den);
-  }
-}
-
-}  // namespace
-
-void EnableAll() {
-  Profiler::Instance().Enable();
-  MetricsRegistry::Instance().Enable();
-  TraceJournal::Instance().Enable();
-}
-
-void DisableAll() {
-  Profiler::Instance().Disable();
-  MetricsRegistry::Instance().Disable();
-  TraceJournal::Instance().Disable();
-}
-
-void ResetAll() {
-  Profiler::Instance().Reset();
-  MetricsRegistry::Instance().Reset();
-  TraceJournal::Instance().Reset();
-}
-
-bool AnyEnabled() {
-  return Profiler::Instance().enabled() ||
-         MetricsRegistry::Instance().enabled() ||
-         TraceJournal::Instance().enabled();
-}
-
+// Escapes a string for embedding in JSON (quotes not included).
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -91,12 +42,53 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::map<std::string, double> DerivedRatios() {
-  MetricsRegistry& m = MetricsRegistry::Instance();
-  std::map<std::string, uint64_t> c = m.Counters();
-  auto counter = [&c](const char* name) -> uint64_t {
-    auto it = c.find(name);
-    return it == c.end() ? 0 : it->second;
+void AppendF(std::string& out, const char* fmt, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), fmt, v);
+  out += buf;
+}
+
+void AppendU(std::string& out, uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
+  out += buf;
+}
+
+// Appends `"key": {"name": value, ...},` at the top level of the document;
+// `append_value` renders one value.
+template <typename Map, typename AppendValue>
+void AppendObject(std::string& out, const char* key, const Map& map,
+                  AppendValue append_value) {
+  out += "  \"";
+  out += key;
+  out += "\": {";
+  size_t i = 0;
+  for (const auto& [name, v] : map) {
+    out += i++ == 0 ? "\n" : ",\n";
+    out += "    \"" + JsonEscape(name) + "\": ";
+    append_value(v);
+  }
+  out += map.empty() ? "},\n" : "\n  },\n";
+}
+
+// The quantiles each histogram reports, by JSON key.
+constexpr std::pair<const char*, double> kQuantiles[] = {
+    {"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}, {"p999", 0.999}};
+
+// Adds num/den to `out` under `key` when the denominator is nonzero.
+void AddRatio(std::map<std::string, double>& out, const char* key,
+              uint64_t num, uint64_t den) {
+  if (den != 0) {
+    out[key] = static_cast<double>(num) / static_cast<double>(den);
+  }
+}
+
+std::map<std::string, double> Derive(
+    const std::map<std::string, uint64_t>& counters,
+    const std::map<std::string, double>& gauges) {
+  auto counter = [&counters](const char* name) -> uint64_t {
+    auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
   };
 
   std::map<std::string, double> out;
@@ -113,7 +105,6 @@ std::map<std::string, double> DerivedRatios() {
   AddRatio(out, "cleaning_overhead", counter("cleaner.bytes_rewritten"),
            counter("chunk.log_bytes_appended"));
 
-  std::map<std::string, double> gauges = m.Gauges();
   auto live = gauges.find("chunk.live_log_bytes");
   auto used = gauges.find("chunk.used_log_bytes");
   if (live != gauges.end() && used != gauges.end() && used->second > 0) {
@@ -122,171 +113,168 @@ std::map<std::string, double> DerivedRatios() {
   return out;
 }
 
-std::string SnapshotJson(size_t max_trace_events) {
+}  // namespace
+
+void EnableAll() {
+  Profiler::Instance().Enable();
+  MetricsRegistry::Instance().Enable();
+  TraceJournal::Instance().Enable();
+}
+
+void DisableAll() {
+  Profiler::Instance().Disable();
+  MetricsRegistry::Instance().Disable();
+  TraceJournal::Instance().Disable();
+}
+
+void ResetAll() {
+  Profiler::Instance().Reset();
+  MetricsRegistry::Instance().Reset();
+  TraceJournal::Instance().Reset();
+}
+
+std::map<std::string, double> DerivedRatios() {
+  MetricsRegistry& m = MetricsRegistry::Instance();
+  return Derive(m.Counters(), m.Gauges());
+}
+
+StatsSnapshot TakeSnapshot(size_t max_trace_events) {
   Profiler& prof = Profiler::Instance();
   MetricsRegistry& metrics = MetricsRegistry::Instance();
   TraceJournal& trace = TraceJournal::Instance();
 
+  StatsSnapshot s;
+  s.profiler_enabled = prof.enabled();
+  s.metrics_enabled = metrics.enabled();
+  s.trace_enabled = trace.enabled();
+
+  // Per-module self time (Figure-12 style), largest first.
+  s.modules = prof.Snapshot();
+  std::stable_sort(s.modules.begin(), s.modules.end(),
+                   [](const Profiler::Entry& x, const Profiler::Entry& y) {
+                     return x.total_us > y.total_us;
+                   });
+
+  s.counters = metrics.Counters();
+  s.gauges = metrics.Gauges();
+  s.histograms = metrics.Histograms();
+  s.derived = Derive(s.counters, s.gauges);
+
+  s.trace_capacity = trace.capacity();
+  s.trace_total_emitted = trace.TotalEmitted();
+  for (size_t k = 0; k < kNumTraceKinds; ++k) {
+    s.trace_counts[k] = trace.CountOf(static_cast<TraceKind>(k));
+  }
+  std::vector<TraceEvent> events = trace.Snapshot();
+  size_t start =
+      events.size() > max_trace_events ? events.size() - max_trace_events : 0;
+  for (size_t i = start; i < events.size(); ++i) {
+    TraceEvent& e = events[i];
+    s.trace_events.push_back(StatsSnapshot::Event{
+        e.seq, e.t_us, e.kind, e.module, e.a, e.b, std::move(e.detail)});
+  }
+  return s;
+}
+
+std::string ToJson(const StatsSnapshot& s) {
   std::string out;
   out.reserve(4096);
   out += "{\n";
 
-  // Enabled flags: a snapshot with everything disabled is still valid, it
-  // just reflects whatever was recorded while enabled.
   out += "  \"enabled\": {\"profiler\": ";
-  out += prof.enabled() ? "true" : "false";
+  out += s.profiler_enabled ? "true" : "false";
   out += ", \"metrics\": ";
-  out += metrics.enabled() ? "true" : "false";
+  out += s.metrics_enabled ? "true" : "false";
   out += ", \"trace\": ";
-  out += trace.enabled() ? "true" : "false";
+  out += s.trace_enabled ? "true" : "false";
   out += "},\n";
 
-  // Per-module self time (Figure-12 style), largest first.
-  std::vector<Profiler::Entry> modules = prof.Snapshot();
-  std::sort(modules.begin(), modules.end(),
-            [](const Profiler::Entry& x, const Profiler::Entry& y) {
-              return x.total_us > y.total_us;
-            });
   out += "  \"modules\": [";
-  for (size_t i = 0; i < modules.size(); ++i) {
+  for (size_t i = 0; i < s.modules.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"module\": \"" + JsonEscape(modules[i].module) +
+    out += "    {\"module\": \"" + JsonEscape(s.modules[i].module) +
            "\", \"total_us\": ";
-    AppendF(out, "%.3f", modules[i].total_us);
+    AppendF(out, "%.3f", s.modules[i].total_us);
     out += ", \"calls\": ";
-    AppendU(out, modules[i].calls);
+    AppendU(out, s.modules[i].calls);
     out += "}";
   }
-  out += modules.empty() ? "],\n" : "\n  ],\n";
+  out += s.modules.empty() ? "],\n" : "\n  ],\n";
 
-  // Profiler event counters (flush counts etc.) kept distinct from registry
-  // counters so existing consumers keep their names.
-  out += "  \"profile_counters\": {";
-  {
-    std::map<std::string, uint64_t> counters = prof.Counters();
-    size_t i = 0;
-    for (const auto& [name, n] : counters) {
-      out += i++ == 0 ? "\n" : ",\n";
-      out += "    \"" + JsonEscape(name) + "\": ";
-      AppendU(out, n);
-    }
-    out += counters.empty() ? "},\n" : "\n  },\n";
-  }
-
-  out += "  \"counters\": {";
-  {
-    std::map<std::string, uint64_t> counters = metrics.Counters();
-    size_t i = 0;
-    for (const auto& [name, n] : counters) {
-      out += i++ == 0 ? "\n" : ",\n";
-      out += "    \"" + JsonEscape(name) + "\": ";
-      AppendU(out, n);
-    }
-    out += counters.empty() ? "},\n" : "\n  },\n";
-  }
-
-  out += "  \"gauges\": {";
-  {
-    std::map<std::string, double> gauges = metrics.Gauges();
-    size_t i = 0;
-    for (const auto& [name, v] : gauges) {
-      out += i++ == 0 ? "\n" : ",\n";
-      out += "    \"" + JsonEscape(name) + "\": ";
-      AppendF(out, "%.3f", v);
-    }
-    out += gauges.empty() ? "},\n" : "\n  },\n";
-  }
+  AppendObject(out, "counters", s.counters,
+               [&out](uint64_t n) { AppendU(out, n); });
+  AppendObject(out, "gauges", s.gauges,
+               [&out](double v) { AppendF(out, "%.3f", v); });
 
   out += "  \"histograms\": [";
-  {
-    std::vector<MetricsRegistry::HistogramSnapshot> hists =
-        metrics.Histograms();
-    for (size_t i = 0; i < hists.size(); ++i) {
-      const auto& h = hists[i];
-      out += i == 0 ? "\n" : ",\n";
-      out += "    {\"name\": \"" + JsonEscape(h.name) + "\", \"count\": ";
-      AppendU(out, h.count);
-      out += ", \"sum\": ";
-      AppendF(out, "%.3f", h.sum);
-      out += ", \"mean\": ";
-      AppendF(out, "%.3f", h.mean());
-      out += ", \"min\": ";
-      AppendF(out, "%.3f", h.min);
-      out += ", \"max\": ";
-      AppendF(out, "%.3f", h.max);
-      out += ", \"p50\": ";
-      AppendF(out, "%.3f", h.Quantile(0.50));
-      out += ", \"p95\": ";
-      AppendF(out, "%.3f", h.Quantile(0.95));
-      out += ", \"p99\": ";
-      AppendF(out, "%.3f", h.Quantile(0.99));
-      out += ", \"p999\": ";
-      AppendF(out, "%.3f", h.Quantile(0.999));
-      out += "}";
+  for (size_t i = 0; i < s.histograms.size(); ++i) {
+    const MetricsRegistry::HistogramSnapshot& h = s.histograms[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += "    {\"name\": \"" + JsonEscape(h.name) + "\", \"count\": ";
+    AppendU(out, h.count);
+    out += ", \"sum\": ";
+    AppendF(out, "%.3f", h.sum);
+    out += ", \"mean\": ";
+    AppendF(out, "%.3f", h.mean());
+    out += ", \"min\": ";
+    AppendF(out, "%.3f", h.min);
+    out += ", \"max\": ";
+    AppendF(out, "%.3f", h.max);
+    for (const auto& [key, q] : kQuantiles) {
+      out += ", \"";
+      out += key;
+      out += "\": ";
+      AppendF(out, "%.3f", h.Quantile(q));
     }
-    out += hists.empty() ? "],\n" : "\n  ],\n";
+    out += "}";
   }
+  out += s.histograms.empty() ? "],\n" : "\n  ],\n";
 
-  out += "  \"derived\": {";
-  {
-    std::map<std::string, double> derived = DerivedRatios();
-    size_t i = 0;
-    for (const auto& [name, v] : derived) {
-      out += i++ == 0 ? "\n" : ",\n";
-      out += "    \"" + JsonEscape(name) + "\": ";
-      AppendF(out, "%.6f", v);
-    }
-    out += derived.empty() ? "},\n" : "\n  },\n";
-  }
+  AppendObject(out, "derived", s.derived,
+               [&out](double v) { AppendF(out, "%.6f", v); });
 
   out += "  \"trace\": {\n    \"capacity\": ";
-  AppendU(out, trace.capacity());
+  AppendU(out, s.trace_capacity);
   out += ",\n    \"total_emitted\": ";
-  AppendU(out, trace.TotalEmitted());
+  AppendU(out, s.trace_total_emitted);
   out += ",\n    \"counts\": {";
-  {
-    size_t emitted = 0;
-    for (size_t k = 0; k < kNumTraceKinds; ++k) {
-      TraceKind kind = static_cast<TraceKind>(k);
-      uint64_t n = trace.CountOf(kind);
-      if (n == 0) {
-        continue;
-      }
-      out += emitted++ == 0 ? "\n" : ",\n";
-      out += "      \"";
-      out += TraceKindName(kind);
-      out += "\": ";
-      AppendU(out, n);
+  size_t kinds = 0;
+  for (size_t k = 0; k < kNumTraceKinds; ++k) {
+    if (s.trace_counts[k] == 0) {
+      continue;
     }
-    out += emitted == 0 ? "},\n" : "\n    },\n";
+    out += kinds++ == 0 ? "\n" : ",\n";
+    out += "      \"";
+    out += TraceKindName(static_cast<TraceKind>(k));
+    out += "\": ";
+    AppendU(out, s.trace_counts[k]);
   }
+  out += kinds == 0 ? "},\n" : "\n    },\n";
   out += "    \"events\": [";
-  {
-    std::vector<TraceEvent> events = trace.Snapshot();
-    size_t start =
-        events.size() > max_trace_events ? events.size() - max_trace_events : 0;
-    size_t emitted = 0;
-    for (size_t i = start; i < events.size(); ++i) {
-      const TraceEvent& e = events[i];
-      out += emitted++ == 0 ? "\n" : ",\n";
-      out += "      {\"seq\": ";
-      AppendU(out, e.seq);
-      out += ", \"t_us\": ";
-      AppendU(out, e.t_us);
-      out += ", \"kind\": \"";
-      out += TraceKindName(e.kind);
-      out += "\", \"module\": \"";
-      out += JsonEscape(e.module);
-      out += "\", \"a\": ";
-      AppendU(out, e.a);
-      out += ", \"b\": ";
-      AppendU(out, e.b);
-      out += ", \"detail\": \"" + JsonEscape(e.detail) + "\"}";
-    }
-    out += emitted == 0 ? "]\n" : "\n    ]\n";
+  for (size_t i = 0; i < s.trace_events.size(); ++i) {
+    const StatsSnapshot::Event& e = s.trace_events[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += "      {\"seq\": ";
+    AppendU(out, e.seq);
+    out += ", \"t_us\": ";
+    AppendU(out, e.t_us);
+    out += ", \"kind\": \"";
+    out += TraceKindName(e.kind);
+    out += "\", \"module\": \"";
+    out += JsonEscape(e.module);
+    out += "\", \"a\": ";
+    AppendU(out, e.a);
+    out += ", \"b\": ";
+    AppendU(out, e.b);
+    out += ", \"detail\": \"" + JsonEscape(e.detail) + "\"}";
   }
+  out += s.trace_events.empty() ? "]\n" : "\n    ]\n";
   out += "  }\n}\n";
   return out;
+}
+
+std::string SnapshotJson(size_t max_trace_events) {
+  return ToJson(TakeSnapshot(max_trace_events));
 }
 
 }  // namespace tdb::obs

@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "src/common/pickle.h"
-#include "src/obs/profiler.h"
+#include "src/obs/metrics.h"
 #include "src/platform/file_util.h"
 #include "src/crypto/sha256.h"
 
@@ -18,7 +18,7 @@ void ApplyTrustedStoreLatency(const TrustedStoreOptions& options) {
 
 Status MemTamperResistantRegister::Write(ByteView value) {
   ApplyTrustedStoreLatency(options_);
-  ProfileCount("tamper_resistant_store.writes");
+  obs::Count("tamper_resistant_store.writes");
   value_.assign(value.begin(), value.end());
   return OkStatus();
 }
@@ -28,7 +28,7 @@ Status MemMonotonicCounter::AdvanceTo(uint64_t value) {
     return InvalidArgumentError("monotonic counter cannot be decremented");
   }
   ApplyTrustedStoreLatency(options_);
-  ProfileCount("tamper_resistant_store.writes");
+  obs::Count("tamper_resistant_store.writes");
   value_ = value;
   return OkStatus();
 }
@@ -125,7 +125,7 @@ Result<Bytes> FileTamperResistantRegister::Read() const {
 
 Status FileTamperResistantRegister::Write(ByteView value) {
   ApplyTrustedStoreLatency(options_);
-  ProfileCount("tamper_resistant_store.writes");
+  obs::Count("tamper_resistant_store.writes");
   uint64_t next_seq = sequence_ + 1;
   // Alternate slots so the previous value survives a torn write.
   int slot = static_cast<int>(next_seq % 2);

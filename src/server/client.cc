@@ -233,10 +233,10 @@ Status TdbClient::Delete(ObjectId id) {
   return StatusFromResponse(response);
 }
 
-Result<std::string> TdbClient::FetchStats() {
+Result<obs::StatsSnapshot> TdbClient::FetchStats() {
   TDB_ASSIGN_OR_RETURN(Response response, RoundTrip(Request{.op = Op::kStats}));
   TDB_RETURN_IF_ERROR(StatusFromResponse(response));
-  return StringFromBytes(response.object);
+  return UnpickleSnapshot(response.object);
 }
 
 Status TdbClient::ResetStats() {

@@ -105,10 +105,11 @@ class TdbClient {
   Status Put(ObjectId id, const Pickled& object);
   Status Delete(ObjectId id);
 
-  // Remote stats: the server's full observability snapshot (SnapshotJson,
-  // gauges refreshed) as a JSON string, and a reset of the server's
-  // metrics/profiler/trace state. Both work outside a transaction.
-  Result<std::string> FetchStats();
+  // Remote stats: the server's full observability snapshot (gauges
+  // refreshed), exactly as obs::TakeSnapshot took it there, and a reset of
+  // the server's metrics/profiler/trace state. Both work outside a
+  // transaction.
+  Result<obs::StatsSnapshot> FetchStats();
   Status ResetStats();
 
   // --- partition directory (sharded servers; outside a transaction) ---

@@ -24,14 +24,11 @@ double MicrosBetween(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-shard::EngineRegistryOptions RegistryOptions(const TdbServerOptions& options) {
-  shard::EngineRegistryOptions out;
-  out.store_options.lock_timeout = options.lock_timeout;
-  out.store_options.cache_capacity = options.cache_capacity;
-  out.store_options.group_commit = options.group_commit;
-  out.store_options.group_commit_max_batch = options.group_commit_max_batch;
-  out.combine_commits = options.combine_commits;
-  out.combine_max_batch = options.combine_max_batch;
+ObjectStoreOptions StoreOptions(const TdbServerOptions& options) {
+  ObjectStoreOptions out;
+  out.lock_timeout = options.lock_timeout;
+  out.cache_capacity = options.cache_capacity;
+  out.group_commit = options.group_commit;
   return out;
 }
 
@@ -80,7 +77,7 @@ TdbServer::TdbServer(ChunkStore* chunks, PartitionId partition,
     : chunks_(chunks),
       registry_(registry),
       options_(options),
-      engines_(chunks, registry, RegistryOptions(options)) {
+      engines_(chunks, registry, StoreOptions(options)) {
   // A missing partition surfaces as kNotFound on the first begin.
   (void)engines_.Add(partition);
 }
@@ -90,7 +87,7 @@ TdbServer::TdbServer(ChunkStore* chunks, shard::PartitionDirectory* directory,
     : chunks_(chunks),
       registry_(registry),
       options_(options),
-      engines_(chunks, registry, RegistryOptions(options)),
+      engines_(chunks, registry, StoreOptions(options)),
       directory_(directory) {
   for (const shard::PartitionEntry& entry : directory_->List()) {
     if (!entry.moved) {
@@ -158,10 +155,6 @@ void TdbServer::PublishGauges() {
                   static_cast<double>(
                       sessions_rejected_.load(std::memory_order_relaxed)));
   }
-  Stats stats = GetStats();
-  obs::SetGauge("server.idle_timeouts",
-                static_cast<double>(stats.idle_timeouts));
-  obs::SetGauge("server.requests", static_cast<double>(stats.requests));
   std::vector<std::shared_ptr<shard::PartitionEngine>> engines =
       engines_.Engines();
   obs::SetGauge("shard.partitions", static_cast<double>(engines.size()));
@@ -670,10 +663,10 @@ Response TdbServer::Handle(Session& session, const Request& request) {
       return HandleBegin(session, request);
     case Op::kStats: {
       // Refresh every live gauge first so the snapshot a remote tdb_stats
-      // parses is current, not whatever the last slow path happened to set.
+      // renders is current, not whatever the last slow path happened to set.
       PublishGauges();
       Response response;
-      response.object = BytesFromString(obs::SnapshotJson());
+      response.object = PickleSnapshot(obs::TakeSnapshot());
       return response;
     }
     case Op::kStatsReset: {

@@ -72,17 +72,12 @@ struct TdbServerOptions {
   // disables slow-request events.
   std::chrono::microseconds slow_request_threshold{100000};
 
-  // Per-partition object-store configuration.
+  // Per-partition object-store configuration. Every engine's commits chain
+  // into one store-level combiner either way (two-level group commit,
+  // group_commit.h).
   bool group_commit = true;
-  size_t group_commit_max_batch = 64;
   std::chrono::milliseconds lock_timeout{500};
   size_t cache_capacity = 4096;
-
-  // Chain every engine's group-commit queue into one store-level combiner
-  // (two-level group commit): leaders of different partitions merge into a
-  // single chunk-store commit, so one flush amortizes across partitions.
-  bool combine_commits = true;
-  size_t combine_max_batch = 256;
 
   // How long a hand-off cut-over waits for in-flight transactions to drain
   // before giving up (the partition resumes serving on timeout).
@@ -170,9 +165,9 @@ class TdbServer {
   // Deallocates the snapshot chain accumulated for `partition`.
   void DropHandoffSnapshots(PartitionId partition);
 
-  // Publishes server/session/queue state plus the per-partition
+  // Publishes session/queue state plus the per-partition
   // `shard.partition.<id>.*` gauges and refreshes the chunk store's gauges,
-  // so a SnapshotJson taken right after (kStats) reflects the live server.
+  // so a snapshot taken right after (kStats) reflects the live server.
   void PublishGauges();
 
   ChunkStore* chunks_;

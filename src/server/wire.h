@@ -29,6 +29,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
+#include "src/obs/snapshot.h"
 #include "src/shard/directory.h"
 
 namespace tdb::server {
@@ -36,10 +37,11 @@ namespace tdb::server {
 inline constexpr uint8_t kWireMagic = 0xDB;
 // Version 2 added the partition id to every request (sharded service) and
 // the directory/hand-off op family; version 3 made a frame carry a count
-// and then that many requests (or responses). Decoding rejects any other
-// version: a v1 or v2 peer gets a clear kUnimplemented status, never a
-// misparsed frame.
-inline constexpr uint8_t kWireVersion = 3;
+// and then that many requests (or responses); version 4 kept the frame
+// layout and made kStats answer with a pickled snapshot (PickleSnapshot)
+// instead of JSON text. Decoding rejects any other version: an older peer
+// gets a clear kUnimplemented status, never a misparsed frame or payload.
+inline constexpr uint8_t kWireVersion = 4;
 
 // Most requests (or responses) one frame may carry. TdbClient's pending
 // bound keeps its frames far below it (client.cc); the cap keeps one
@@ -60,8 +62,9 @@ enum class Op : uint8_t {
   // Begins a read-only snapshot transaction (lock-free reads; writes and
   // GetForUpdate are rejected server-side).
   kBeginReadOnly = 10,
-  // Returns the server's full observability snapshot (SnapshotJson plus
-  // server gauges) in the response object. Allowed outside a transaction.
+  // Returns the server's full observability snapshot (obs::TakeSnapshot,
+  // server gauges refreshed first) in the response object, pickled by
+  // PickleSnapshot. Allowed outside a transaction.
   kStats = 11,
   // Resets the server's metrics/profiler/trace state. Allowed outside a
   // transaction.
@@ -159,6 +162,16 @@ Status StatusFromResponse(const Response& response);
 // cross the wire in this pickled form.
 Bytes PickleEntryList(const std::vector<shard::PartitionEntry>& entries);
 Result<std::vector<shard::PartitionEntry>> UnpickleEntryList(ByteView data);
+
+// The kStats payload. Every field travels exactly: doubles as their IEEE
+// bits, histograms with their (nonzero) buckets, trace events with their
+// module name, so the client's HistogramSnapshot::Quantile and obs::ToJson
+// give the server's numbers and bytes. Unpickling checks every element
+// count against the bytes left, bucket indexes against kNumLatencyBuckets,
+// trace kinds against kNumTraceKinds and each histogram's min against its
+// max, and fails with kCorruption on malformed input.
+Bytes PickleSnapshot(const obs::StatsSnapshot& snapshot);
+Result<obs::StatsSnapshot> UnpickleSnapshot(ByteView data);
 
 }  // namespace tdb::server
 

@@ -116,11 +116,13 @@ size_t PartitionEngine::active_txns() const {
 }
 
 EngineRegistry::EngineRegistry(ChunkStore* chunks, const TypeRegistry* registry,
-                               EngineRegistryOptions options)
+                               ObjectStoreOptions store_options)
     : chunks_(chunks),
       registry_(registry),
-      options_(options),
-      combiner_(chunks, options.combine_max_batch) {}
+      store_options_(store_options),
+      combiner_(chunks, kCombineMaxBatch) {
+  store_options_.commit_chain = &combiner_;
+}
 
 Result<std::shared_ptr<PartitionEngine>> EngineRegistry::Add(
     PartitionId partition) {
@@ -128,17 +130,13 @@ Result<std::shared_ptr<PartitionEngine>> EngineRegistry::Add(
     return NotFoundError("partition " + std::to_string(partition) +
                          " does not exist in the chunk store");
   }
-  ObjectStoreOptions store_options = options_.store_options;
-  if (options_.combine_commits) {
-    store_options.commit_chain = &combiner_;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   if (engines_.count(partition) != 0) {
     return AlreadyExistsError("partition " + std::to_string(partition) +
                               " is already served");
   }
   auto engine = std::make_shared<PartitionEngine>(chunks_, partition,
-                                                  registry_, store_options);
+                                                  registry_, store_options_);
   engines_[partition] = engine;
   return engine;
 }

@@ -98,23 +98,15 @@ class PartitionEngine {
   size_t active_txns_ = 0;
 };
 
-struct EngineRegistryOptions {
-  // Per-engine object-store configuration (commit_chain is overwritten by
-  // the registry when combine_commits is set).
-  ObjectStoreOptions store_options;
-  // Chain every engine's group-commit queue into one store-level combiner
-  // so concurrent leaders of different partitions share a flush.
-  bool combine_commits = true;
-  // Most engine batches the combiner's leader may merge into one
-  // chunk-store commit.
-  size_t combine_max_batch = 256;
-};
-
+// Every engine's commits chain into one store-level combiner (the
+// registry's), so concurrent leaders of different partitions share a flush.
 class EngineRegistry {
  public:
   // `chunks` and `registry` must outlive this object (and all engines).
+  // `store_options` configure every engine; their commit_chain is replaced
+  // by the combiner.
   EngineRegistry(ChunkStore* chunks, const TypeRegistry* registry,
-                 EngineRegistryOptions options = {});
+                 ObjectStoreOptions store_options = {});
 
   EngineRegistry(const EngineRegistry&) = delete;
   EngineRegistry& operator=(const EngineRegistry&) = delete;
@@ -139,7 +131,7 @@ class EngineRegistry {
  private:
   ChunkStore* chunks_;
   const TypeRegistry* registry_;
-  EngineRegistryOptions options_;
+  ObjectStoreOptions store_options_;
   GroupCommitQueue combiner_;
 
   mutable std::mutex mu_;

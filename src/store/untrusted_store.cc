@@ -9,7 +9,7 @@
 
 #include "src/common/pickle.h"
 #include "src/crypto/sha256.h"
-#include "src/obs/profiler.h"
+#include "src/obs/metrics.h"
 
 namespace tdb {
 
@@ -45,8 +45,8 @@ Result<Bytes> MemUntrustedStore::Read(uint32_t segment, uint32_t offset,
                                       size_t len) const {
   TDB_RETURN_IF_ERROR(CheckRange(segment, offset, len));
   std::shared_lock<std::shared_mutex> lock(io_mu_);
-  ProfileCount("untrusted_store.reads");
-  ProfileCount("untrusted_store.bytes_read", len);
+  obs::Count("untrusted_store.reads");
+  obs::Count("untrusted_store.bytes_read", len);
   const Bytes& seg = segments_[segment];
   if (seg.empty()) {
     return Bytes(len, 0);
@@ -66,7 +66,7 @@ Status MemUntrustedStore::Write(uint32_t segment, uint32_t offset,
     std::memcpy(seg.data() + offset, data.data(), data.size());
   }
   bytes_written_ += data.size();
-  ProfileCount("untrusted_store.bytes_written", data.size());
+  obs::Count("untrusted_store.bytes_written", data.size());
   return OkStatus();
 }
 
@@ -77,7 +77,7 @@ Status MemUntrustedStore::Flush() {
   std::unique_lock<std::shared_mutex> lock(io_mu_);
   unflushed_.clear();
   ++flush_count_;
-  ProfileCount("untrusted_store.flushes");
+  obs::Count("untrusted_store.flushes");
   return OkStatus();
 }
 
@@ -89,7 +89,7 @@ Result<Bytes> MemUntrustedStore::ReadSuperblock() const {
 Status MemUntrustedStore::WriteSuperblock(ByteView data) {
   std::unique_lock<std::shared_mutex> lock(io_mu_);
   superblock_.assign(data.begin(), data.end());
-  ProfileCount("untrusted_store.superblock_writes");
+  obs::Count("untrusted_store.superblock_writes");
   return OkStatus();
 }
 
@@ -231,8 +231,8 @@ Result<Bytes> FileUntrustedStore::Read(uint32_t segment, uint32_t offset,
   if (got != static_cast<ssize_t>(len)) {
     return IoError("short read");
   }
-  ProfileCount("untrusted_store.reads");
-  ProfileCount("untrusted_store.bytes_read", len);
+  obs::Count("untrusted_store.reads");
+  obs::Count("untrusted_store.bytes_read", len);
   return out;
 }
 
@@ -247,7 +247,7 @@ Status FileUntrustedStore::Write(uint32_t segment, uint32_t offset,
   if (wrote != static_cast<ssize_t>(data.size())) {
     return IoError("short write");
   }
-  ProfileCount("untrusted_store.bytes_written", data.size());
+  obs::Count("untrusted_store.bytes_written", data.size());
   return OkStatus();
 }
 
@@ -258,7 +258,7 @@ Status FileUntrustedStore::Flush() {
   if (::fdatasync(fd_) != 0) {
     return IoError("fdatasync failed");
   }
-  ProfileCount("untrusted_store.flushes");
+  obs::Count("untrusted_store.flushes");
   return OkStatus();
 }
 
@@ -302,7 +302,7 @@ Status FileUntrustedStore::WriteSuperblock(ByteView data) {
     return IoError("fdatasync failed");
   }
   superblock_seq_ = next_seq;
-  ProfileCount("untrusted_store.superblock_writes");
+  obs::Count("untrusted_store.superblock_writes");
   return OkStatus();
 }
 

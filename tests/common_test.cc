@@ -265,18 +265,6 @@ TEST(ProfilerTest, NestedScopesExcludeChildren) {
   EXPECT_LT(outer_us, inner_us * 1.8);
 }
 
-TEST(ProfilerTest, CountersAccumulate) {
-  Profiler& p = Profiler::Instance();
-  p.Reset();
-  p.Enable();
-  ProfileCount("flushes");
-  ProfileCount("flushes", 2);
-  p.Disable();
-  EXPECT_EQ(p.GetCount("flushes"), 3u);
-  ProfileCount("flushes");  // disabled: no effect
-  EXPECT_EQ(p.GetCount("flushes"), 3u);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.num_workers(), 3u);

@@ -257,14 +257,13 @@ TEST_F(ObsTest, SnapshotJsonIsWellFormedAndCarriesTheSchema) {
   Observe("test.snapshot_hist", 10.0);
   TraceEmit(TraceKind::kCommit, "test", 1, 2);
   Profiler::Instance().AddSample("test_module", 123.0);
-  Profiler::Instance().AddCount("test.profile_count", 7);
 
   std::string json = SnapshotJson();
   EXPECT_TRUE(JsonWellFormed(json)) << json;
   for (const char* key :
-       {"\"enabled\"", "\"modules\"", "\"profile_counters\"", "\"counters\"",
-        "\"gauges\"", "\"histograms\"", "\"derived\"", "\"trace\"",
-        "\"capacity\"", "\"total_emitted\"", "\"counts\"", "\"events\""}) {
+       {"\"enabled\"", "\"modules\"", "\"counters\"", "\"gauges\"",
+        "\"histograms\"", "\"derived\"", "\"trace\"", "\"capacity\"",
+        "\"total_emitted\"", "\"counts\"", "\"events\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
   EXPECT_NE(json.find("\"test.snapshot_counter\": 5"), std::string::npos)

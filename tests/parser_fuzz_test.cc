@@ -1,6 +1,7 @@
 // Fuzz-style robustness tests for every parser that consumes bytes from the
-// untrusted store or an archival stream. Two generators, both driven by a
-// deterministic seeded Rng so failures reproduce:
+// untrusted store, an archival stream or a peer on the wire. Two
+// generators, both driven by a deterministic seeded Rng so failures
+// reproduce:
 //
 //   1. pure-random byte strings of every length 0..N, and
 //   2. single-bit flips of valid pickles (the adversarially interesting
@@ -22,6 +23,7 @@
 #include "src/common/pickle.h"
 #include "src/common/rng.h"
 #include "src/crypto/suite.h"
+#include "src/server/wire.h"
 
 namespace tdb {
 namespace {
@@ -62,6 +64,15 @@ Status ParseCleaner(ByteView data) {
 Status ParseBackupDescriptor(ByteView data) {
   return BackupDescriptor::Unpickle(data).status();
 }
+// A server's kStats payload, read by a client from the wire; whatever it
+// accepts must also render.
+Status ParseStatsSnapshot(ByteView data) {
+  Result<obs::StatsSnapshot> snapshot = server::UnpickleSnapshot(data);
+  if (snapshot.ok()) {
+    (void)obs::ToJson(*snapshot);
+  }
+  return snapshot.status();
+}
 
 struct NamedParser {
   const char* name;
@@ -79,6 +90,7 @@ const NamedParser kParsers[] = {
     {"NextSegmentRecord", ParseNextSegment},
     {"CleanerRecord", ParseCleaner},
     {"BackupDescriptor", ParseBackupDescriptor},
+    {"StatsSnapshot", ParseStatsSnapshot},
 };
 
 // ---- Valid exemplars for the bit-flip neighborhood ----
@@ -171,6 +183,32 @@ Bytes ValidBackupDescriptorBytes() {
   return d.Pickle();
 }
 
+Bytes ValidStatsSnapshotBytes() {
+  obs::StatsSnapshot s;
+  s.metrics_enabled = true;
+  s.modules = {{"chunk_store", 812.5, 40}};
+  s.counters = {{"chunk.commits", 40}, {"server.requests", 123}};
+  s.gauges = {{"chunk.live_log_bytes", 4096.0}};
+  obs::MetricsRegistry::HistogramSnapshot h;
+  h.name = "wire.op.commit.us";
+  h.count = 3;
+  h.sum = 70.0;
+  h.min = 10.0;
+  h.max = 40.0;
+  h.buckets.resize(obs::kNumLatencyBuckets);
+  h.buckets[obs::BucketIndex(10.0)] = 1;
+  h.buckets[obs::BucketIndex(20.0)] = 1;
+  h.buckets[obs::BucketIndex(40.0)] = 1;
+  s.histograms = {h};
+  s.derived = {{"write_amplification", 3.25}};
+  s.trace_capacity = 64;
+  s.trace_total_emitted = 2;
+  s.trace_counts[static_cast<size_t>(obs::TraceKind::kCommit)] = 2;
+  s.trace_events = {{7, 1000, obs::TraceKind::kCommit, "chunk", 3, 512, ""},
+                    {8, 1200, obs::TraceKind::kCommit, "chunk", 1, 64, "x"}};
+  return server::PickleSnapshot(s);
+}
+
 Bytes ValidExemplar(const std::string& name) {
   if (name == "Descriptor") return ValidDescriptorBytes();
   if (name == "MapChunk") return ValidMapChunkBytes();
@@ -190,6 +228,7 @@ Bytes ValidExemplar(const std::string& name) {
   if (name == "NextSegmentRecord") return NextSegmentRecord{6}.Pickle();
   if (name == "CleanerRecord") return ValidCleanerBytes();
   if (name == "BackupDescriptor") return ValidBackupDescriptorBytes();
+  if (name == "StatsSnapshot") return ValidStatsSnapshotBytes();
   ADD_FAILURE() << "no exemplar for " << name;
   return {};
 }
@@ -301,6 +340,30 @@ TEST(ParserFuzzTest, LengthBombsFailCleanlyInsteadOfAllocating) {
     w.WriteVarint(uint64_t{1} << 60);  // num_copies
     Status s = ParsePartitionLeader(w.data());
     EXPECT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
+  }
+  // A stats snapshot with a 2^60-entry module list, and one with a
+  // histogram claiming 2^60 nonzero buckets.
+  {
+    PickleWriter w;
+    w.WriteRaw(Bytes{1, 1, 1});        // enabled flags
+    w.WriteVarint(uint64_t{1} << 60);  // modules
+    Status s = ParseStatsSnapshot(w.data());
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
+  }
+  {
+    PickleWriter w;
+    w.WriteRaw(Bytes{1, 1, 1});        // enabled flags
+    w.WriteVarint(0);                  // modules
+    w.WriteVarint(0);                  // counters
+    w.WriteVarint(0);                  // gauges
+    w.WriteVarint(1);                  // histograms
+    w.WriteString("h");
+    w.WriteVarint(1);                  // count
+    w.WriteRaw(Bytes(24, 0));          // sum, min, max
+    w.WriteBool(true);                 // buckets present
+    w.WriteVarint(uint64_t{1} << 60);  // nonzero buckets
+    Status s = ParseStatsSnapshot(w.data());
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
   }
 }

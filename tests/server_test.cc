@@ -11,9 +11,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "src/net/loopback.h"
 #include "src/net/tcp.h"
 #include "src/obs/metrics.h"
+#include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
 #include "src/platform/trusted_store.h"
 #include "src/server/blob.h"
@@ -33,6 +37,13 @@ namespace {
 
 const BlobValue& AsBlob(const ObjectPtr& object) {
   return dynamic_cast<const BlobValue&>(*object);
+}
+
+// The server's snapshot, fetched over the wire and rendered as JSON, for
+// checks by name.
+Result<std::string> FetchStatsJson(TdbClient& client) {
+  TDB_ASSIGN_OR_RETURN(obs::StatsSnapshot snapshot, client.FetchStats());
+  return obs::ToJson(snapshot);
 }
 
 class ServerTest : public ::testing::Test {
@@ -254,7 +265,7 @@ TEST_F(ServerTest, IdleSessionLosesItsLocks) {
 TEST_F(ServerTest, GroupCommitBatchesConcurrentCommits) {
   obs::MetricsRegistry::Instance().Reset();
   obs::MetricsRegistry::Instance().Enable();
-  StartServer({.group_commit = true, .group_commit_max_batch = 64});
+  StartServer({.group_commit = true});
 
   // Each client owns a distinct object, so transactions never conflict and
   // every commit reaches the queue; concurrency makes leaders absorb
@@ -886,7 +897,7 @@ TEST_F(ServerTest, SnapshotCarriesOneNamePerServerMetric) {
       (*turned_away)->Recv(std::chrono::milliseconds(2000)).ok());
   ASSERT_TRUE(client->Ping().ok());
 
-  auto stats = client->FetchStats();
+  auto stats = FetchStatsJson(*client);
   ASSERT_TRUE(stats.ok());
   obs::MetricsRegistry::Instance().Disable();
   for (const char* kept :
@@ -901,6 +912,48 @@ TEST_F(ServerTest, SnapshotCarriesOneNamePerServerMetric) {
     EXPECT_EQ(stats->find('"' + std::string(deleted) + '"'),
               std::string::npos)
         << deleted;
+  }
+}
+
+// One name, one kind: a metric is a counter, a gauge or a histogram, never
+// two of them (after kStatsReset a counter restarts where a gauge of the
+// same name would keep its reading), and every name has the dotted
+// lower-case form.
+TEST_F(ServerTest, EveryMetricNameHasOneKindAndTheDottedForm) {
+  obs::MetricsRegistry::Instance().Reset();
+  obs::MetricsRegistry::Instance().Enable();
+  StartServer();
+  auto client = NewClient();
+  ASSERT_TRUE(client->Begin().ok());
+  auto id = client->Insert(BlobValue("named once"));
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(client->Commit().ok());
+  ASSERT_TRUE(client->Begin().ok());
+  ASSERT_TRUE(client->Get(*id).ok());
+  ASSERT_TRUE(client->Commit().ok());
+
+  auto snapshot = client->FetchStats();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  obs::MetricsRegistry::Instance().Disable();
+  ASSERT_FALSE(snapshot->counters.empty());
+  ASSERT_FALSE(snapshot->gauges.empty());
+  ASSERT_FALSE(snapshot->histograms.empty());
+  EXPECT_EQ(snapshot->counters.count("server.requests"), 1u);
+
+  std::map<std::string, int> kinds;
+  for (const auto& [name, n] : snapshot->counters) {
+    ++kinds[name];
+  }
+  for (const auto& [name, v] : snapshot->gauges) {
+    ++kinds[name];
+  }
+  for (const auto& h : snapshot->histograms) {
+    ++kinds[h.name];
+  }
+  const std::regex dotted("^[a-z0-9_]+(\\.[a-z0-9_]+)+$");
+  for (const auto& [name, n] : kinds) {
+    EXPECT_EQ(n, 1) << name << " is published as more than one kind";
+    EXPECT_TRUE(std::regex_match(name, dotted)) << name;
   }
 }
 
@@ -1083,6 +1136,93 @@ TEST(WireOpTableTest, StatsOpsRoundTripThroughTheWireFormat) {
   }
 }
 
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Two name -> double maps, the doubles compared bit for bit.
+void ExpectSameDoubles(const std::map<std::string, double>& got,
+                       const std::map<std::string, double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (auto g = got.begin(), w = want.begin(); w != want.end(); ++g, ++w) {
+    EXPECT_EQ(g->first, w->first);
+    EXPECT_EQ(Bits(g->second), Bits(w->second)) << w->first;
+  }
+}
+
+// The kStats payload carries a snapshot exactly: every field, the doubles
+// bit for bit, and so the same JSON byte for byte.
+TEST_F(ServerTest, StatsSnapshotPicklesExactly) {
+  obs::ResetAll();
+  obs::EnableAll();
+  StartServer();
+  auto client = NewClient();
+  ASSERT_TRUE(client->Begin().ok());
+  auto id = client->Insert(BlobValue("pickled"));
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(client->Put(*id, BlobValue("pickled twice")).ok());
+  ASSERT_TRUE(client->Commit().ok());
+  ASSERT_TRUE(client->Begin().ok());
+  ASSERT_TRUE(client->Get(*id).ok());
+  ASSERT_TRUE(client->Commit().ok());
+  ASSERT_TRUE(client->FetchStats().ok());  // publishes the server gauges
+  const std::string detail = "quote \" backslash \\ newline \n done";
+  obs::TraceEmit(obs::TraceKind::kTamperDetected, "tamper", 1, 2, detail);
+  obs::StatsSnapshot want = obs::TakeSnapshot();
+  obs::DisableAll();
+  obs::ResetAll();
+
+  // Every section is filled.
+  ASSERT_FALSE(want.modules.empty());
+  ASSERT_FALSE(want.counters.empty());
+  ASSERT_FALSE(want.gauges.empty());
+  ASSERT_FALSE(want.histograms.empty());
+  ASSERT_FALSE(want.derived.empty());
+  ASSERT_FALSE(want.trace_events.empty());
+  EXPECT_EQ(want.trace_events.back().detail, detail);
+
+  auto got = UnpickleSnapshot(PickleSnapshot(want));
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->profiler_enabled, want.profiler_enabled);
+  EXPECT_EQ(got->metrics_enabled, want.metrics_enabled);
+  EXPECT_EQ(got->trace_enabled, want.trace_enabled);
+  ASSERT_EQ(got->modules.size(), want.modules.size());
+  for (size_t i = 0; i < want.modules.size(); ++i) {
+    EXPECT_EQ(got->modules[i].module, want.modules[i].module);
+    EXPECT_EQ(Bits(got->modules[i].total_us), Bits(want.modules[i].total_us));
+    EXPECT_EQ(got->modules[i].calls, want.modules[i].calls);
+  }
+  EXPECT_EQ(got->counters, want.counters);
+  ExpectSameDoubles(got->gauges, want.gauges);
+  ASSERT_EQ(got->histograms.size(), want.histograms.size());
+  for (size_t i = 0; i < want.histograms.size(); ++i) {
+    const auto& g = got->histograms[i];
+    const auto& w = want.histograms[i];
+    EXPECT_EQ(g.name, w.name);
+    EXPECT_EQ(g.count, w.count);
+    EXPECT_EQ(Bits(g.sum), Bits(w.sum)) << w.name;
+    EXPECT_EQ(Bits(g.min), Bits(w.min)) << w.name;
+    EXPECT_EQ(Bits(g.max), Bits(w.max)) << w.name;
+    EXPECT_EQ(g.buckets, w.buckets) << w.name;
+    EXPECT_EQ(Bits(g.Quantile(0.99)), Bits(w.Quantile(0.99))) << w.name;
+  }
+  ExpectSameDoubles(got->derived, want.derived);
+  EXPECT_EQ(got->trace_capacity, want.trace_capacity);
+  EXPECT_EQ(got->trace_total_emitted, want.trace_total_emitted);
+  EXPECT_EQ(got->trace_counts, want.trace_counts);
+  ASSERT_EQ(got->trace_events.size(), want.trace_events.size());
+  for (size_t i = 0; i < want.trace_events.size(); ++i) {
+    const auto& g = got->trace_events[i];
+    const auto& w = want.trace_events[i];
+    EXPECT_EQ(g.seq, w.seq);
+    EXPECT_EQ(g.t_us, w.t_us);
+    EXPECT_EQ(g.kind, w.kind);
+    EXPECT_EQ(g.module, w.module);
+    EXPECT_EQ(g.a, w.a);
+    EXPECT_EQ(g.b, w.b);
+    EXPECT_EQ(g.detail, w.detail);
+  }
+  EXPECT_EQ(obs::ToJson(*got), obs::ToJson(want));
+}
+
 // --- Remote stats ops and request spans ------------------------------------
 
 TEST_F(ServerTest, StatsOpReturnsSnapshotOutsideTransaction) {
@@ -1092,7 +1232,7 @@ TEST_F(ServerTest, StatsOpReturnsSnapshotOutsideTransaction) {
   auto client = NewClient();
 
   // kStats needs no open transaction: a monitoring client connects and asks.
-  auto idle = client->FetchStats();
+  auto idle = FetchStatsJson(*client);
   ASSERT_TRUE(idle.ok());
   EXPECT_NE(idle->find("\"histograms\""), std::string::npos);
 
@@ -1102,7 +1242,7 @@ TEST_F(ServerTest, StatsOpReturnsSnapshotOutsideTransaction) {
   ASSERT_TRUE(client->Put(*id, BlobValue("observed twice")).ok());
   ASSERT_TRUE(client->Commit().ok());
 
-  auto stats = client->FetchStats();
+  auto stats = FetchStatsJson(*client);
   ASSERT_TRUE(stats.ok());
   // Per-op server spans recorded for the traffic above, with percentile
   // fields, plus the server gauges published at snapshot time.
@@ -1138,7 +1278,7 @@ TEST_F(ServerTest, StatsResetClearsServerMetrics) {
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(client->Commit().ok());
 
-  auto before = client->FetchStats();
+  auto before = FetchStatsJson(*client);
   ASSERT_TRUE(before.ok());
   ASSERT_NE(before->find("wire.op.insert.us"), std::string::npos);
   ASSERT_NE(before->find("wire.op.commit.us"), std::string::npos);
@@ -1149,7 +1289,7 @@ TEST_F(ServerTest, StatsResetClearsServerMetrics) {
   // reappear are for the stats_reset/stats traffic itself (each op is
   // observed after its response is sent, so a snapshot never includes its
   // own request).
-  auto after = client->FetchStats();
+  auto after = FetchStatsJson(*client);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->find("wire.op.insert.us"), std::string::npos);
   EXPECT_EQ(after->find("wire.op.commit.us"), std::string::npos);
@@ -1232,14 +1372,14 @@ TEST_F(ServerTest, StatsRoundTripOverTcp) {
   ASSERT_TRUE(client.Commit().ok());
 
   // The exact path a remote `tdb_stats --connect` takes.
-  auto stats = client.FetchStats();
+  auto stats = FetchStatsJson(client);
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"histograms\""), std::string::npos);
   EXPECT_NE(stats->find("wire.op.ping.us"), std::string::npos);
   EXPECT_NE(stats->find("wire.op.commit.us"), std::string::npos);
   EXPECT_NE(stats->find("server.sessions.active"), std::string::npos);
   EXPECT_TRUE(client.ResetStats().ok());
-  auto after = client.FetchStats();
+  auto after = FetchStatsJson(client);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->find("wire.op.ping.us"), std::string::npos);
 
