@@ -1248,6 +1248,13 @@ Status ChunkStore::Checkpoint() {
 
 Status ChunkStore::CheckpointLocked() {
   TDB_RETURN_IF_ERROR(CheckUsable());
+  // Every descriptor update and every cleaner move appends to the log, so
+  // an unmoved tail means the last checkpoint already holds this state. A
+  // leader carries the whole segment table and may need a segment of its
+  // own: writing one anyway would use space that no cleaning gets back.
+  if (checkpoint_tail_ == log_.tail() && !log_.HasCleaned()) {
+    return OkStatus();
+  }
   obs::LatencyTimer checkpoint_timer("chunk.checkpoint_us");
   const uint64_t dirty_at_entry = cache_.dirty_count();
   in_checkpoint_ = true;
@@ -1349,6 +1356,7 @@ Status ChunkStore::CheckpointLocked() {
 
   last_leader_loc_ = leader_loc;
   last_leader_size_ = leader_size;
+  checkpoint_tail_ = log_.tail();
   log_.OnCheckpointComplete(leader_loc);
   stats_.checkpoints.fetch_add(1, std::memory_order_relaxed);
   obs::Count("chunk.checkpoints");

@@ -174,6 +174,7 @@ class ChunkStore {
   Status DeallocateChunk(ChunkId id);
 
   // Consolidates buffered descriptor updates into the chunk map (§4.7).
+  // Writes nothing when the log has not changed since the last checkpoint.
   Status Checkpoint();
 
   // Cleans up to `max_segments` low-utilization segments (§4.9.5).
@@ -368,6 +369,10 @@ class ChunkStore {
 
   Location last_leader_loc_;
   uint32_t last_leader_size_ = 0;
+  // The log tail as this process's last checkpoint left it. While the tail
+  // is still there and no cleaned segment waits for release, a checkpoint
+  // has nothing to record and writes nothing.
+  std::optional<Location> checkpoint_tail_;
 
   // Poisoned by a mid-commit I/O failure, or by a failure of the maintenance
   // that follows a durable commit; poison_ is what later calls return. Only

@@ -232,6 +232,13 @@ void LogManager::MarkCleaned(uint32_t segment) {
   segments_[segment].live_bytes = 0;
 }
 
+bool LogManager::HasCleaned() const {
+  return std::any_of(segments_.begin(), segments_.end(),
+                     [](const SegmentInfo& s) {
+                       return s.state == SegmentInfo::State::kCleaned;
+                     });
+}
+
 uint32_t LogManager::free_segment_count() const {
   uint32_t n = 0;
   for (const SegmentInfo& s : segments_) {

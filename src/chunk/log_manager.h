@@ -102,6 +102,8 @@ class LogManager {
   // Segments eligible for cleaning, lowest utilization first.
   std::vector<uint32_t> CleanableSegments() const;
   void MarkCleaned(uint32_t segment);
+  // True while a cleaned segment waits for the checkpoint that frees it.
+  bool HasCleaned() const;
 
   const std::vector<SegmentInfo>& segments() const { return segments_; }
   std::vector<SegmentInfo> SegmentTableSnapshot() const { return segments_; }

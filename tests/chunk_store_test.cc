@@ -817,6 +817,52 @@ TEST_P(ChunkStoreTest, AutoCheckpointTriggersOnDirtyThreshold) {
   EXPECT_GT((*cs)->GetStats().checkpoints, checkpoints_before);
 }
 
+// Maintenance on an idle store uses no more space than it frees. At 1,024
+// segments of 16 KiB a leader, which carries the whole segment table, needs
+// a segment of its own, and Clean(1) frees one segment per call. Both loops
+// run twice as many times as the store has segments: a checkpoint that
+// wrote a leader with nothing new to record would fill the store first.
+TEST_P(ChunkStoreTest, IdleMaintenanceDoesNotFillTheStore) {
+  TestRig rig(GetParam(), {.segment_size = 16384, .num_segments = 1024});
+  auto cs = rig.Create();
+  ASSERT_TRUE(cs.ok());
+  PartitionId p = MakePartition(**cs);
+  ChunkId id = *(*cs)->AllocateChunk(p);
+  // Each round leaves a segment that holds only dead bytes, a leader and a
+  // version that the next round supersedes. Cleaning such a segment
+  // appends nothing in direct-hash mode.
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(
+        (*cs)->WriteChunk(id, BytesFromString("v" + std::to_string(round)))
+            .ok());
+    ASSERT_TRUE((*cs)->Checkpoint().ok());
+  }
+  ASSERT_TRUE((*cs)->WriteChunk(id, BytesFromString("kept")).ok());
+  const uint64_t checkpoints = (*cs)->GetStats().checkpoints;
+  for (int i = 0; i < 2048; ++i) {
+    Status s = (*cs)->Checkpoint();
+    ASSERT_TRUE(s.ok()) << "checkpoint " << i << ": " << s;
+  }
+  EXPECT_EQ((*cs)->GetStats().checkpoints, checkpoints + 1);
+  for (int i = 0; i < 2048; ++i) {
+    const uint64_t before = (*cs)->GetStats().checkpoints;
+    Result<size_t> cleaned = (*cs)->Clean(1);
+    ASSERT_TRUE(cleaned.ok()) << "clean " << i << ": " << cleaned.status();
+    // A clean ends with the checkpoint that frees its segment, also when
+    // the segment held nothing live and the clean appended nothing.
+    ASSERT_EQ((*cs)->GetStats().checkpoints, before + *cleaned) << i;
+    Status s = (*cs)->Checkpoint();
+    ASSERT_TRUE(s.ok()) << "checkpoint after clean " << i << ": " << s;
+    ASSERT_EQ((*cs)->GetStats().checkpoints, before + *cleaned) << i;
+  }
+  EXPECT_GT((*cs)->GetStats().free_segments, 1000u);
+  EXPECT_EQ(*(*cs)->Read(id), BytesFromString("kept"));
+  cs->reset();
+  auto reopened = rig.Open();
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(*(*reopened)->Read(id), BytesFromString("kept"));
+}
+
 TEST_P(ChunkStoreTest, StatsReportActivity) {
   auto cs = rig_.Create();
   ASSERT_TRUE(cs.ok());
