@@ -6,13 +6,8 @@
 // plus I/O of l_u + l_t/delta_ut + bytes/b_u. This bench reproduces the
 // sweep on the in-memory store (computational overhead only, as the paper
 // separates), fits the same two-predictor model, and reports flush counts
-// so the I/O term can be added symbolically.
-//
-// A second sweep measures the parallel crypto pipeline: the same commit at
-// crypto_threads 0/1/2/4/8, where per-chunk hashing and encryption fan out
-// across a worker pool while IV reservation stays serial (the untrusted
-// image is byte-identical at every setting). Speedups require cores; on a
-// single-CPU host all settings degenerate to the serial path.
+// so the I/O term can be added symbolically. Crypto runs serially on the
+// committing thread, as in the paper's model.
 //
 // `--json <path>` additionally writes every measured configuration as JSON.
 
@@ -29,11 +24,10 @@ namespace {
 // One timed commit of `count` chunks of `size` bytes, repeated; the store is
 // fresh and the tree paths pre-allocated so checkpoints and cleaning stay
 // out of the measurement.
-RunningStats TimeCommits(size_t crypto_threads, int count, size_t size,
-                         int repetitions, LinearRegression* regression) {
+RunningStats TimeCommits(int count, size_t size, int repetitions,
+                         LinearRegression& regression) {
   Rng rng(BenchSeed() + 7);
-  Rig rig = MakeRig(/*segment_size=*/512 * 1024, /*num_segments=*/2048,
-                    ValidationMode::kCounter, /*delta_ut=*/5, crypto_threads);
+  Rig rig = MakeRig(/*segment_size=*/512 * 1024, /*num_segments=*/2048);
   PartitionId partition = MakePartition(*rig.chunks);
   std::vector<ChunkId> ids;
   for (int i = 0; i < count; ++i) {
@@ -65,10 +59,8 @@ RunningStats TimeCommits(size_t crypto_threads, int count, size_t size,
       }
     });
     stats.Add(us);
-    if (regression != nullptr) {
-      regression->Add(
-          {static_cast<double>(count), static_cast<double>(count) * size}, us);
-    }
+    regression.Add(
+        {static_cast<double>(count), static_cast<double>(count) * size}, us);
   }
   return stats;
 }
@@ -91,16 +83,12 @@ int Run(int argc, char** argv) {
 
   for (size_t size : kChunkSizes) {
     for (int count : kChunkCounts) {
-      // The model sweep runs the serial pipeline: the paper's cost model is
-      // single-threaded, and this keeps the fit comparable across hosts.
-      RunningStats stats =
-          TimeCommits(/*crypto_threads=*/0, count, size, kRepetitions,
-                      &regression);
+      RunningStats stats = TimeCommits(count, size, kRepetitions, regression);
       std::printf("%8d %10zu %14.1f %14.2f\n", count, size, stats.mean(),
                   stats.mean() / count);
       char params[96];
-      std::snprintf(params, sizeof(params),
-                    "chunks=%d,chunk_bytes=%zu,crypto_threads=0", count, size);
+      std::snprintf(params, sizeof(params), "chunks=%d,chunk_bytes=%zu",
+                    count, size);
       json.Add("commit", params, stats.mean(), stats.stddev(),
                1e6 * static_cast<double>(count) * size / stats.mean());
     }
@@ -117,29 +105,6 @@ int Run(int argc, char** argv) {
       "I/O term (symbolic, as the paper reports): l_u + l_t/delta_ut + "
       "bytes/b_u per commit;\nwith delta_ut = 5 the untrusted store is "
       "flushed every commit and the counter once per 5 commits.\n");
-
-  PrintHeader("parallel crypto pipeline: commit of 32 x 8 KiB");
-  std::printf("host reports %zu hardware threads\n\n", HardwareConcurrency());
-  std::printf("%16s %14s %10s\n", "crypto_threads", "commit_us", "speedup");
-  const int kParCount = 32;
-  const size_t kParSize = 8192;
-  const size_t kThreadSettings[] = {0, 1, 2, 4, 8};
-  double serial_us = 0.0;
-  for (size_t threads : kThreadSettings) {
-    RunningStats stats =
-        TimeCommits(threads, kParCount, kParSize, kRepetitions, nullptr);
-    if (threads == 0) {
-      serial_us = stats.mean();
-    }
-    std::printf("%16zu %14.1f %9.2fx\n", threads, stats.mean(),
-                serial_us / stats.mean());
-    char params[96];
-    std::snprintf(params, sizeof(params),
-                  "chunks=%d,chunk_bytes=%zu,crypto_threads=%zu", kParCount,
-                  kParSize, threads);
-    json.Add("commit_parallel", params, stats.mean(), stats.stddev(),
-             1e6 * static_cast<double>(kParCount) * kParSize / stats.mean());
-  }
 
   if (json_path != nullptr && !json.Write(json_path, "bench_chunk_commit")) {
     return 1;

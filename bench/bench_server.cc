@@ -90,8 +90,7 @@ RunResult RunClients(int clients, bool group_commit, net::Transport& transport,
                      const std::string& address,
                      std::chrono::microseconds flush_latency) {
   Rig rig = MakeRig(/*segment_size=*/256 * 1024, /*num_segments=*/2048,
-                    ValidationMode::kCounter, /*delta_ut=*/5,
-                    /*crypto_threads=*/SIZE_MAX, flush_latency);
+                    ValidationMode::kCounter, /*delta_ut=*/5, flush_latency);
   PartitionId partition = MakePartition(*rig.chunks);
   TypeRegistry registry;
   if (!RegisterType<BlobValue>(registry).ok()) {
@@ -174,8 +173,7 @@ RunResult RunClients(int clients, bool group_commit, net::Transport& transport,
 // even though the chunk store serializes commits.
 RunResult RunPartitioned(int partitions, int clients_per_partition) {
   Rig rig = MakeRig(/*segment_size=*/256 * 1024, /*num_segments=*/2048,
-                    ValidationMode::kCounter, /*delta_ut=*/5,
-                    /*crypto_threads=*/SIZE_MAX, kFlushLatency);
+                    ValidationMode::kCounter, /*delta_ut=*/5, kFlushLatency);
   TypeRegistry registry;
   if (!RegisterType<BlobValue>(registry).ok()) {
     std::abort();
@@ -278,8 +276,7 @@ RunResult RunPartitioned(int partitions, int clients_per_partition) {
 RunResult RunReaders(int clients, bool snapshot, int txns_per_client,
                      int reads_per_txn) {
   Rig rig = MakeRig(/*segment_size=*/256 * 1024, /*num_segments=*/2048,
-                    ValidationMode::kCounter, /*delta_ut=*/5,
-                    /*crypto_threads=*/SIZE_MAX, kFlushLatency);
+                    ValidationMode::kCounter, /*delta_ut=*/5, kFlushLatency);
   PartitionId partition = MakePartition(*rig.chunks);
   TypeRegistry registry;
   if (!RegisterType<BlobValue>(registry).ok()) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/chunk/chunk_store.h"
+#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/percentile.h"
 #include "src/obs/snapshot.h"
@@ -58,16 +59,14 @@ struct Rig {
   }
 };
 
-// Builds a fresh store with the paper's §9.1 configuration.
-// `crypto_threads` of SIZE_MAX keeps the ChunkStoreOptions default
-// (hardware concurrency); pass 0 for the strictly serial pipeline or an
-// explicit worker count for the parallel one. A nonzero `flush_latency`
-// turns on the store's modelled device latency per Flush — for benches
-// whose subject is flush amortization rather than computational cost.
+// Builds a fresh store with the paper's §9.1 configuration. A nonzero
+// `flush_latency` turns on the store's modelled device latency per Flush —
+// for benches whose subject is flush amortization rather than computational
+// cost.
 inline Rig MakeRig(size_t segment_size = 256 * 1024,
                    uint32_t num_segments = 2048,
                    ValidationMode mode = ValidationMode::kCounter,
-                   uint32_t delta_ut = 5, size_t crypto_threads = SIZE_MAX,
+                   uint32_t delta_ut = 5,
                    std::chrono::microseconds flush_latency = {}) {
   Rig rig;
   rig.store = std::make_unique<MemUntrustedStore>(
@@ -79,9 +78,6 @@ inline Rig MakeRig(size_t segment_size = 256 * 1024,
   rig.counter = std::make_unique<MemMonotonicCounter>();
   rig.options.validation.mode = mode;
   rig.options.validation.delta_ut = delta_ut;
-  if (crypto_threads != SIZE_MAX) {
-    rig.options.crypto_threads = crypto_threads;
-  }
   auto cs = ChunkStore::Create(rig.store.get(), rig.trusted(), rig.options);
   if (!cs.ok()) {
     std::fprintf(stderr, "rig creation failed: %s\n",

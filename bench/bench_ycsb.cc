@@ -63,8 +63,7 @@ DriverResult RunOne(const WorkloadSpec& spec, bool wire, uint64_t ops,
                     int threads, bool snapshot_reads = false,
                     uint64_t ops_per_txn = 1, RegistryTails* tails = nullptr) {
   Rig rig = MakeRig(/*segment_size=*/256 * 1024, /*num_segments=*/2048,
-                    ValidationMode::kCounter, /*delta_ut=*/5,
-                    /*crypto_threads=*/SIZE_MAX, kFlushLatency);
+                    ValidationMode::kCounter, /*delta_ut=*/5, kFlushLatency);
   PartitionId partition = MakePartition(*rig.chunks);
   TypeRegistry registry;
   if (!RegisterType<server::BlobValue>(registry).ok()) {

@@ -1,7 +1,5 @@
 #include "src/backup/backup_store.h"
 
-#include <algorithm>
-
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
@@ -176,75 +174,38 @@ Status BackupStore::WritePartitionBackup(PartitionId snapshot,
     }
   }
 
-  // Chunks are framed in position order, but each chunk's crypto — Hp(chunk)
-  // and the body/header encryption (§6.2) — is independent, so positions are
-  // processed in bounded batches: read serially, reserve IVs in position
-  // order (keeping the archive bytes identical at any thread count), fan the
-  // crypto out, then frame serially. The signature's chunk digest absorbs
-  // Hp(body) per chunk rather than the raw body stream, which is what makes
-  // the per-chunk hashing parallelizable; RestoreStream mirrors this.
-  constexpr size_t kCryptoBatch = 64;
-  struct PendingChunk {
-    uint64_t packed_position = 0;
-    bool written = false;
-    Bytes body;  // plaintext, written chunks only
-    uint64_t body_seq = 0;
-    uint64_t header_seq = 0;
-    Bytes body_ct;    // filled by the fan-out
-    Bytes header_ct;  // filled by the fan-out
-    Bytes digest;     // Hp(body), filled by the fan-out
-  };
-  ThreadPool* pool = chunks_->crypto_pool();
-  for (size_t start = 0; start < positions.size(); start += kCryptoBatch) {
-    size_t end = std::min(positions.size(), start + kCryptoBatch);
-    std::vector<PendingChunk> pend;
-    pend.reserve(end - start);
-    for (size_t pi = start; pi < end; ++pi) {
-      const ChunkPosition& pos = positions[pi];
-      Result<Bytes> body = chunks_->Read(ChunkId(snapshot, pos));
-      PendingChunk pc;
-      pc.packed_position = (static_cast<uint64_t>(pos.height) << 40) | pos.rank;
-      if (body.ok()) {
-        pc.written = true;
-        pc.body = std::move(*body);
-        pc.body_seq = partition_suite.ReserveSeqs(1);
-        pc.header_seq = system.ReserveSeqs(1);
-      } else if (body.status().code() == StatusCode::kNotFound) {
-        if (!descriptor.incremental()) {
-          continue;  // full backups carry only written chunks
-        }
-        pc.header_seq = system.ReserveSeqs(1);
-      } else {
-        return body.status();
-      }
-      pend.push_back(std::move(pc));
+  // Chunks are framed in position order: each chunk's record header, then
+  // its body. The signature's chunk digest absorbs each position and
+  // Hp(body) (§6.2); RestoreStream mirrors this.
+  for (const ChunkPosition& pos : positions) {
+    Result<Bytes> body = chunks_->Read(ChunkId(snapshot, pos));
+    if (!body.ok() && body.status().code() != StatusCode::kNotFound) {
+      return body.status();
     }
-    ParallelFor(pool, pend.size(), [&](size_t i) {
-      PendingChunk& pc = pend[i];
-      ChunkRecordHeader header;
-      header.position = pc.packed_position;
-      header.written = pc.written;
-      if (pc.written) {
-        pc.digest = partition_suite.Hash(pc.body);
-        pc.body_ct = partition_suite.EncryptWithSeq(pc.body_seq, pc.body);
-        header.body_size = static_cast<uint32_t>(pc.body_ct.size());
-      }
-      pc.header_ct = system.EncryptWithSeq(pc.header_seq, header.Pickle());
-    });
-    for (PendingChunk& pc : pend) {
-      TDB_RETURN_IF_ERROR(WriteFrame(sink, pc.header_ct, &checksum));
-      Bytes pos_bytes;
-      PutU64(pos_bytes, pc.packed_position);
-      chunks_hash.Update(pos_bytes);
-      if (pc.written) {
-        TDB_RETURN_IF_ERROR(WriteFrame(sink, pc.body_ct, &checksum));
-        chunks_hash.Update(pc.digest);
-        result.bytes_written += pc.body.size();
-      } else {
-        chunks_hash.Update(BytesFromString("<deallocated>"));
-      }
-      ++result.chunks_written;
+    if (!body.ok() && !descriptor.incremental()) {
+      continue;  // full backups carry only written chunks
     }
+    ChunkRecordHeader header;
+    header.position = (static_cast<uint64_t>(pos.height) << 40) | pos.rank;
+    header.written = body.ok();
+    Bytes pos_bytes;
+    PutU64(pos_bytes, header.position);
+    chunks_hash.Update(pos_bytes);
+    Bytes body_ct;
+    if (header.written) {
+      chunks_hash.Update(partition_suite.Hash(*body));
+      body_ct = partition_suite.Encrypt(*body);
+      header.body_size = static_cast<uint32_t>(body_ct.size());
+      result.bytes_written += body->size();
+    } else {
+      chunks_hash.Update(BytesFromString("<deallocated>"));
+    }
+    TDB_RETURN_IF_ERROR(
+        WriteFrame(sink, system.Encrypt(header.Pickle()), &checksum));
+    if (header.written) {
+      TDB_RETURN_IF_ERROR(WriteFrame(sink, body_ct, &checksum));
+    }
+    ++result.chunks_written;
   }
   // End-of-chunks marker.
   TDB_RETURN_IF_ERROR(WriteFrame(sink, {}, &checksum));

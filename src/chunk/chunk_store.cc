@@ -103,17 +103,12 @@ ChunkStore::ChunkStore(UntrustedStore* store, TrustedServices trusted,
       system_suite_(std::make_unique<CryptoSuite>(std::move(system_suite))),
       log_(store, system_suite_.get()),
       cache_(options.descriptor_cache_capacity),
-      vcache_(options.validated_cache_capacity, options.validated_cache_shards,
+      vcache_(options.validated_cache_capacity,
               {"chunk.vcache_evictions", "chunk_vcache"}) {
   if (options_.validation.mode == ValidationMode::kDirectHash) {
     direct_.emplace(trusted_.register_store, system_suite_->hash_alg());
   } else {
     counter_.emplace(trusted_.counter, options_.validation.delta_ut);
-  }
-  if (options_.crypto_threads > 1) {
-    // The committing thread participates in every ParallelFor, so a budget
-    // of N threads needs only N-1 pool workers.
-    crypto_pool_ = std::make_unique<ThreadPool>(options_.crypto_threads - 1);
   }
 }
 
@@ -559,51 +554,29 @@ Result<ChunkId> ChunkStore::AllocateChunk(PartitionId partition) {
 // ---------------------------------------------------------------------------
 // Version building and the commit set
 
-ChunkStore::BuiltVersion ChunkStore::BuildVersionWithSeqs(
-    const ChunkId& id, ByteView plain, const CryptoSuite& suite,
-    uint64_t body_seq, uint64_t header_seq) {
+ChunkStore::BuiltVersion ChunkStore::BuildVersion(const BuildTask& task) {
   BuiltVersion built;
   built.desc.status = ChunkStatus::kWritten;
   {
     ProfileScope hash_scope("hashing");
-    built.desc.hash = suite.Hash(plain);
+    built.desc.hash = task.suite->Hash(task.plain);
   }
   Bytes body_ct;
   {
     ProfileScope encrypt_scope("encryption");
-    body_ct = suite.EncryptWithSeq(body_seq, plain);
+    body_ct = task.suite->Encrypt(task.plain);
   }
   VersionHeader header =
-      VersionHeader::Named(id, static_cast<uint32_t>(body_ct.size()));
+      VersionHeader::Named(task.id, static_cast<uint32_t>(body_ct.size()));
   Bytes header_ct;
   {
     ProfileScope encrypt_scope("encryption");
-    header_ct = EncodeHeaderWithSeq(*system_suite_, header_seq, header);
+    header_ct = EncodeHeader(*system_suite_, header);
   }
   built.blob.reserve(header_ct.size() + body_ct.size());
   Append(built.blob, header_ct);
   Append(built.blob, body_ct);
   built.desc.stored_size = static_cast<uint32_t>(built.blob.size());
-  return built;
-}
-
-std::vector<ChunkStore::BuiltVersion> ChunkStore::BuildVersions(
-    const std::vector<BuildTask>& tasks) {
-  // Reserve IV sequence numbers serially, per task: body from the task's
-  // suite, then header from the system suite. After this, each task's
-  // crypto is pure.
-  std::vector<std::pair<uint64_t, uint64_t>> seqs;
-  seqs.reserve(tasks.size());
-  for (const BuildTask& t : tasks) {
-    uint64_t body_seq = t.suite->ReserveSeqs(1);
-    seqs.emplace_back(body_seq, system_suite_->ReserveSeqs(1));
-  }
-  std::vector<BuiltVersion> built(tasks.size());
-  ParallelFor(crypto_pool_.get(), tasks.size(), [&](size_t i) {
-    built[i] = BuildVersionWithSeqs(tasks[i].id, tasks[i].plain,
-                                    *tasks[i].suite, seqs[i].first,
-                                    seqs[i].second);
-  });
   return built;
 }
 
@@ -618,11 +591,14 @@ Bytes ChunkStore::BuildUnnamed(UnnamedType type, ByteView plain) {
 
 Result<std::vector<Descriptor>> ChunkStore::AppendVersions(
     const std::vector<BuildTask>& tasks, ByteView deallocate_record) {
-  std::vector<BuiltVersion> built = BuildVersions(tasks);
   std::vector<LogManager::Blob> blobs;
-  blobs.reserve(built.size() + 1);
-  for (BuiltVersion& bv : built) {
-    blobs.push_back(LogManager::Blob{std::move(bv.blob), true});
+  std::vector<Descriptor> descs;
+  blobs.reserve(tasks.size() + 1);
+  descs.reserve(tasks.size());
+  for (const BuildTask& task : tasks) {
+    BuiltVersion built = BuildVersion(task);
+    blobs.push_back(LogManager::Blob{std::move(built.blob), true});
+    descs.push_back(std::move(built.desc));
   }
   if (!deallocate_record.empty()) {
     blobs.push_back(LogManager::Blob{
@@ -630,11 +606,8 @@ Result<std::vector<Descriptor>> ChunkStore::AppendVersions(
   }
   TDB_ASSIGN_OR_RETURN(std::vector<Location> locations,
                        AppendToCommitSet(std::move(blobs)));
-  std::vector<Descriptor> descs;
-  descs.reserve(built.size());
-  for (size_t i = 0; i < built.size(); ++i) {
-    descs.push_back(std::move(built[i].desc));
-    descs.back().location = locations[i];
+  for (size_t i = 0; i < descs.size(); ++i) {
+    descs[i].location = locations[i];
   }
   return descs;
 }
@@ -948,8 +921,7 @@ Status ChunkStore::CommitLocked(Batch& batch) {
     leader_writes.push_back(std::move(lw));
   }
 
-  // Every chunk version in the batch is hashed and encrypted independently,
-  // so build them as one fan-out batch and append in deterministic order.
+  // Build the batch's versions, leaders first, and append them in order.
   std::vector<Bytes> leader_plains;
   leader_plains.reserve(leader_writes.size());
   std::vector<BuildTask> tasks;
@@ -1266,8 +1238,8 @@ Status ChunkStore::CheckpointLocked() {
     }
   }
 
-  // 2. Write dirty partition leaders as system data chunks, built as one
-  // fan-out batch in leader-id order.
+  // 2. Write dirty partition leaders as system data chunks, in leader-id
+  // order.
   std::vector<ChunkId> leader_ids;
   std::vector<Descriptor> old_descs;
   std::vector<Bytes> leader_plains;

@@ -30,7 +30,6 @@
 #include "src/common/bytes.h"
 #include "src/common/sharded_cache.h"
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/crypto/suite.h"
 #include "src/platform/trusted_store.h"
 #include "src/store/untrusted_store.h"
@@ -65,17 +64,8 @@ struct ChunkStoreOptions {
 
   // Validated-chunk cache: decrypted, hash-verified chunk plaintexts served
   // on repeat reads without the store mutex (and without redoing decrypt +
-  // hash verification). 0 disables it. Shards: 0 = next power of two >=
-  // hardware concurrency.
+  // hash verification). 0 disables it.
   size_t validated_cache_capacity = 8192;  // chunks
-  size_t validated_cache_shards = 0;
-
-  // Threads used for per-chunk crypto (hashing + encryption) during commit,
-  // checkpoint materialization, cleaning, and backup. 0 (or 1) runs strictly
-  // serially on the calling thread. The parallel path reserves IV sequence
-  // numbers serially in batch order, so the untrusted-store image is
-  // byte-identical at every setting.
-  size_t crypto_threads = HardwareConcurrency();
 };
 
 class ChunkStore {
@@ -202,10 +192,6 @@ class ChunkStore {
 
   const CryptoSuite& system_suite() const { return *system_suite_; }
 
-  // Worker pool for crypto fan-out; null when crypto_threads <= 1. Shared
-  // with the backup store so backups reuse the same knob.
-  ThreadPool* crypto_pool() const { return crypto_pool_.get(); }
-
   ~ChunkStore();
 
  private:
@@ -247,7 +233,7 @@ class ChunkStore {
   // --- build and append ---
   // Commit, checkpoint and cleaner write the log in these stages: plan under
   // mu_ (validate, and read every descriptor the batch supersedes), build
-  // (hash + encrypt, pure), append, then apply the effects below.
+  // (hash + encrypt), append, then apply the effects below.
 
   // A version blob (header ct || body ct) and its descriptor, without the
   // location the append assigns.
@@ -255,21 +241,14 @@ class ChunkStore {
     Bytes blob;
     Descriptor desc;
   };
-  // Encrypts under IV sequence numbers the caller reserved serially (body
-  // from `suite`, header from the system suite), touching no mutable store
-  // state, so crypto workers may run it.
-  BuiltVersion BuildVersionWithSeqs(const ChunkId& id, ByteView plain,
-                                    const CryptoSuite& suite,
-                                    uint64_t body_seq, uint64_t header_seq);
-  // Reserves each task's IV sequence numbers serially in task order, then
-  // fans the hash+encrypt work across the crypto pool. Results are in task
-  // order; the produced bytes are identical at any thread count.
   struct BuildTask {
     ChunkId id;
-    ByteView plain;            // must stay alive until BuildVersions returns
+    ByteView plain;
     const CryptoSuite* suite;  // body cipher/hash (header uses the system's)
   };
-  std::vector<BuiltVersion> BuildVersions(const std::vector<BuildTask>& tasks);
+  // Hashes the plaintext and encrypts the body under the task's suite, then
+  // the header under the system suite; each takes its suite's next IV.
+  BuiltVersion BuildVersion(const BuildTask& task);
   Bytes BuildUnnamed(UnnamedType type, ByteView plain);
 
   // Builds and appends `tasks` and returns their new descriptors. A
@@ -353,7 +332,6 @@ class ChunkStore {
   TrustedServices trusted_;
   ChunkStoreOptions options_;
   std::unique_ptr<CryptoSuite> system_suite_;
-  std::unique_ptr<ThreadPool> crypto_pool_;  // null when running serially
   LogManager log_;
   DescriptorCache cache_;
   std::map<PartitionId, LeaderEntry> leaders_;

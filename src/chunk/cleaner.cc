@@ -99,7 +99,7 @@ Status ChunkStore::CleanSegment(uint32_t segment) {
       continue;
     }
     // LeaderEntry pointers are stable (leaders_ is a std::map), so the suite
-    // pointer stays valid for the fan-out below.
+    // pointer stays valid for the rewrite below.
     TDB_ASSIGN_OR_RETURN(LeaderEntry* owner, GetLeader(lv.current_in[0]));
     lv.suite = &owner->suite;
     lv.body_ct = std::move(item->body_ct);
@@ -108,24 +108,15 @@ Status ChunkStore::CleanSegment(uint32_t segment) {
 
   // Revalidate every surviving version before rewriting so the cleaner
   // cannot launder tampered chunks (§4.9.5: hashes are recomputed by the
-  // rewrite commit). Each decrypt+hash is independent, so fan out; verdicts
-  // land in per-slot flags and the first failure (in log order) wins.
-  std::vector<uint8_t> tampered(live.size(), 0);
-  ParallelFor(crypto_pool_.get(), live.size(), [&](size_t i) {
-    LiveVersion& lv = live[i];
+  // rewrite commit). The first failure in log order is reported.
+  for (LiveVersion& lv : live) {
     Result<Bytes> plain = lv.suite->Decrypt(lv.body_ct);
     if (!plain.ok() ||
         !ConstantTimeEqual(lv.suite->Hash(*plain), lv.old_desc.hash)) {
-      tampered[i] = 1;
-      return;
+      return TamperDetectedError("cleaner found a tampered chunk at " +
+                                 lv.old_desc.location.ToString());
     }
     lv.plain = std::move(*plain);
-  });
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (tampered[i] != 0) {
-      return TamperDetectedError("cleaner found a tampered chunk at " +
-                                 live[i].old_desc.location.ToString());
-    }
   }
 
   // Rewrite the live versions as one commit, cleaner record last.

@@ -6,8 +6,7 @@ size_t HeaderCipherSize(const CryptoSuite& system) {
   return system.CiphertextSize(kHeaderPlainSize);
 }
 
-namespace {
-Bytes HeaderPlain(const VersionHeader& header) {
+Bytes EncodeHeader(const CryptoSuite& system, const VersionHeader& header) {
   Bytes plain;
   plain.reserve(kHeaderPlainSize);
   if (header.unnamed) {
@@ -20,17 +19,7 @@ Bytes HeaderPlain(const VersionHeader& header) {
     PutU64(plain, header.id.position.rank);
   }
   PutU32(plain, header.body_size);
-  return plain;
-}
-}  // namespace
-
-Bytes EncodeHeader(const CryptoSuite& system, const VersionHeader& header) {
-  return system.Encrypt(HeaderPlain(header));
-}
-
-Bytes EncodeHeaderWithSeq(const CryptoSuite& system, uint64_t seq,
-                          const VersionHeader& header) {
-  return system.EncryptWithSeq(seq, HeaderPlain(header));
+  return system.Encrypt(plain);
 }
 
 Result<VersionHeader> DecodeHeader(const CryptoSuite& system, ByteView ct) {

@@ -68,10 +68,6 @@ size_t HeaderCipherSize(const CryptoSuite& system);
 // kCorruption when the bytes do not parse (used by counter-mode recovery to
 // find the log tail).
 Bytes EncodeHeader(const CryptoSuite& system, const VersionHeader& header);
-// As EncodeHeader, but under an IV sequence number previously claimed with
-// system.ReserveSeqs — safe to call from crypto worker threads.
-Bytes EncodeHeaderWithSeq(const CryptoSuite& system, uint64_t seq,
-                          const VersionHeader& header);
 Result<VersionHeader> DecodeHeader(const CryptoSuite& system, ByteView ct);
 
 // ---- Unnamed chunk payloads (plaintext forms; bodies are encrypted with

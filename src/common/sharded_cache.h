@@ -1,7 +1,6 @@
 // A sharded LRU cache keyed by ChunkId, built for read-path concurrency:
-// the key space is split across N shards (N = next power of two >= the
-// machine's hardware concurrency by default), each with its own mutex,
-// hash table, and LRU list, so concurrent readers touching different
+// the key space is split across kCacheShards shards, each with its own
+// mutex, hash table, and LRU list, so concurrent readers touching different
 // shards never contend and readers contending on one shard serialize on
 // a leaf mutex held for a few pointer operations — never across I/O,
 // crypto, or another lock.
@@ -26,25 +25,14 @@
 #include <vector>
 
 #include "src/chunk/chunk_id.h"
-#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace tdb {
 
-inline size_t NextPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
-// Shard count used when the caller does not pin one: enough shards that
-// every hardware thread can hold a different shard mutex at once.
-inline size_t DefaultCacheShards() {
-  return NextPow2(HardwareConcurrency());
-}
+// Shards per cache, a power of two. The count does not follow the host, so
+// every host caches the same entries.
+inline constexpr size_t kCacheShards = 4;
 
 template <typename Value>
 class ShardedLruCache {
@@ -55,12 +43,10 @@ class ShardedLruCache {
   };
 
   // `capacity` is the total entry budget across all shards (0 disables the
-  // cache entirely); `shards` is rounded up to a power of two, 0 meaning the
-  // default. The cache never holds more than `capacity` entries: when there
-  // are fewer entries than shards, it uses fewer shards.
-  ShardedLruCache(size_t capacity, size_t shards, Metrics metrics)
-      : metrics_(metrics) {
-    size_t n = shards != 0 ? NextPow2(shards) : DefaultCacheShards();
+  // cache entirely). The cache never holds more than `capacity` entries:
+  // when there are fewer entries than shards, it uses fewer shards.
+  ShardedLruCache(size_t capacity, Metrics metrics) : metrics_(metrics) {
+    size_t n = kCacheShards;
     while (n > 1 && n > capacity) {
       n >>= 1;
     }

@@ -1,8 +1,6 @@
 #include "src/common/thread_pool.h"
 
-#include <atomic>
 #include <cassert>
-#include <memory>
 
 namespace tdb {
 
@@ -47,91 +45,11 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::Submit(std::function<void()> task) {
   assert(!workers_.empty() && "Submit on a pool with no workers never runs");
-  Enqueue(std::move(task));
-}
-
-void ThreadPool::Enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
   }
   work_cv_.notify_one();
-}
-
-namespace {
-
-// Shared between the caller and helper tasks; held by shared_ptr so a helper
-// that wakes after the caller returned only touches live memory.
-struct ForState {
-  explicit ForState(size_t n) : total(n) {}
-  const size_t total;
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  std::mutex mu;
-  std::condition_variable done_cv;
-};
-
-// Claims iterations until the range is exhausted. Returns the number done.
-size_t DrainRange(ForState& st, const std::function<void(size_t)>& fn) {
-  size_t did = 0;
-  for (;;) {
-    size_t i = st.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= st.total) {
-      return did;
-    }
-    fn(i);
-    ++did;
-  }
-}
-
-}  // namespace
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
-  if (workers_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-
-  auto st = std::make_shared<ForState>(n);
-  // The caller takes a share of the work, so n-1 helpers suffice; extra
-  // helpers beyond the worker count would only queue up to find no work.
-  size_t helpers = workers_.size() < n - 1 ? workers_.size() : n - 1;
-  for (size_t h = 0; h < helpers; ++h) {
-    Enqueue([st, &fn]() mutable {
-      size_t did = DrainRange(*st, fn);
-      if (did > 0 &&
-          st->done.fetch_add(did, std::memory_order_acq_rel) + did ==
-              st->total) {
-        std::lock_guard<std::mutex> lock(st->mu);
-        st->done_cv.notify_all();
-      }
-    });
-  }
-
-  size_t did = DrainRange(*st, fn);
-  if (did > 0) {
-    st->done.fetch_add(did, std::memory_order_acq_rel);
-  }
-  std::unique_lock<std::mutex> lock(st->mu);
-  st->done_cv.wait(lock, [&] {
-    return st->done.load(std::memory_order_acquire) == st->total;
-  });
-}
-
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (pool != nullptr && pool->num_workers() > 0) {
-    pool->ParallelFor(n, fn);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    fn(i);
-  }
 }
 
 }  // namespace tdb

@@ -1,15 +1,5 @@
-// A small worker pool for CPU-bound crypto fan-out.
-//
-// The chunk store serializes all mutation under one mutex (paper §4.2), but
-// the per-chunk hash/encrypt work inside a commit, checkpoint, clean, or
-// backup is embarrassingly parallel once IVs have been reserved serially.
-// ParallelFor distributes those builds across workers while the calling
-// thread participates, so a pool with zero workers degrades to a plain loop
-// and the caller always makes progress even if every worker is busy.
-//
-// Tasks must be pure CPU work: they must not throw, must not block on locks
-// held by the caller (in particular ChunkStore::mu_), and must communicate
-// results only through pre-sized per-index slots.
+// A small worker pool for blocking tasks: the server runs each live session
+// on one of its workers (src/server/server.h).
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
@@ -24,37 +14,26 @@
 
 namespace tdb {
 
-// Threads to use when ChunkStoreOptions::crypto_threads asks for the default;
-// always at least 1 (std::thread::hardware_concurrency may return 0).
+// The host's hardware thread count, as the benchmarks report it; always at
+// least 1 (std::thread::hardware_concurrency may return 0).
 size_t HardwareConcurrency();
 
 class ThreadPool {
  public:
-  // Spawns `num_workers` threads; 0 is allowed and makes ParallelFor inline.
+  // Spawns `num_workers` threads.
   explicit ThreadPool(size_t num_workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_workers() const { return workers_.size(); }
-
-  // Invokes fn(i) for every i in [0, n), distributing iterations across the
-  // workers and the calling thread. Returns once all n iterations finished.
-  // fn must be safe to call concurrently from multiple threads.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  // Queues a standalone task for a worker. Unlike ParallelFor tasks, a
-  // submitted task may block (the server uses one per live session), so a
-  // pool shared with ParallelFor callers should be sized for the blocking
-  // load. Tasks still queued at destruction run to completion before the
-  // destructor returns; with zero workers nothing ever runs, so Submit
-  // requires num_workers() > 0.
+  // Queues a task for a worker; a task may block. Tasks still queued at
+  // destruction run to completion before the destructor returns; with zero
+  // workers nothing ever runs, so Submit requires at least one worker.
   void Submit(std::function<void()> task);
 
  private:
   void WorkerLoop();
-  void Enqueue(std::function<void()> task);
 
   std::mutex mu_;
   std::condition_variable work_cv_;
@@ -62,12 +41,6 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
-
-// Runs fn(i) for i in [0, n): inline when pool is null or trivial, otherwise
-// via pool->ParallelFor. The serial path is bit-for-bit the same loop the
-// parallel path computes, just on one thread.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace tdb
 

@@ -8,23 +8,15 @@ Bytes NullCipher::Encrypt(ByteView plaintext) {
   return Bytes(plaintext.begin(), plaintext.end());
 }
 
-Bytes NullCipher::EncryptWithSeq(uint64_t, ByteView plaintext) const {
-  return Bytes(plaintext.begin(), plaintext.end());
-}
-
 Result<Bytes> NullCipher::Decrypt(ByteView ciphertext) const {
   return Bytes(ciphertext.begin(), ciphertext.end());
 }
 
 template <typename BlockCipherT>
 Bytes CbcCipher<BlockCipherT>::Encrypt(ByteView plaintext) {
-  return EncryptWithSeq(ReserveSeqs(1), plaintext);
-}
-
-template <typename BlockCipherT>
-Bytes CbcCipher<BlockCipherT>::EncryptWithSeq(uint64_t seq,
-                                              ByteView plaintext) const {
   constexpr size_t b = BlockCipherT::kBlockSize;
+  // The first message uses sequence number 1.
+  uint64_t seq = iv_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
   size_t pad = b - plaintext.size() % b;  // 1..b
   size_t padded_size = plaintext.size() + pad;
 

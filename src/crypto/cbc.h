@@ -27,18 +27,6 @@ class Cipher {
   // Encrypts `plaintext`; the result embeds everything Decrypt needs.
   virtual Bytes Encrypt(ByteView plaintext) = 0;
 
-  // Splits Encrypt into its serial and parallel halves. ReserveSeqs claims
-  // `n` consecutive message sequence numbers (the IV counter values Encrypt
-  // would have consumed) and returns the first; reservations are atomic, so
-  // independent reservers (e.g. a backup walking a partition while commits
-  // keep flowing) never overlap. EncryptWithSeq then encrypts under a
-  // reserved number from any thread — it reads no mutable state, so a batch
-  // whose numbers were reserved in commit order yields byte-identical
-  // ciphertexts whether the encrypts run serially or fanned out across a
-  // pool.
-  virtual uint64_t ReserveSeqs(size_t n) = 0;
-  virtual Bytes EncryptWithSeq(uint64_t seq, ByteView plaintext) const = 0;
-
   // Inverse of Encrypt. Returns kCorruption if the ciphertext is structurally
   // invalid (bad length or padding). Note: padding checks are an integrity
   // *heuristic* only; real tamper detection is the hash tree above.
@@ -55,8 +43,6 @@ class Cipher {
 class NullCipher final : public Cipher {
  public:
   Bytes Encrypt(ByteView plaintext) override;
-  uint64_t ReserveSeqs(size_t) override { return 0; }
-  Bytes EncryptWithSeq(uint64_t, ByteView plaintext) const override;
   Result<Bytes> Decrypt(ByteView ciphertext) const override;
   size_t CiphertextSize(size_t plaintext_size) const override {
     return plaintext_size;
@@ -72,13 +58,6 @@ class CbcCipher final : public Cipher {
       : block_(std::move(block_cipher)), name_(name) {}
 
   Bytes Encrypt(ByteView plaintext) override;
-  uint64_t ReserveSeqs(size_t n) override {
-    // Matches the pre-increment in the serial path: the first reserved
-    // message uses counter value iv_counter_ + 1. fetch_add keeps ranges
-    // disjoint when reservers race (IV reuse would break CBC secrecy).
-    return iv_counter_.fetch_add(n, std::memory_order_relaxed) + 1;
-  }
-  Bytes EncryptWithSeq(uint64_t seq, ByteView plaintext) const override;
   Result<Bytes> Decrypt(ByteView ciphertext) const override;
 
   size_t CiphertextSize(size_t plaintext_size) const override {
@@ -92,6 +71,10 @@ class CbcCipher final : public Cipher {
  private:
   BlockCipherT block_;
   std::string_view name_;
+  // The last message sequence number used. Atomic because a backup stream
+  // encrypts under the store's shared system suite, outside the store
+  // mutex, while commits do; two encrypts must never share an IV (IV reuse
+  // would break CBC secrecy).
   std::atomic<uint64_t> iv_counter_{0};
 };
 

@@ -82,14 +82,6 @@ class CryptoSuite {
   size_t digest_size() const { return HashDigestSize(params_.hash); }
 
   Bytes Encrypt(ByteView plaintext) const { return cipher_->Encrypt(plaintext); }
-  // Atomic IV reservation + thread-safe deferred encryption (see Cipher).
-  // ReserveSeqs may be called from any thread; racing reservers get
-  // disjoint sequence ranges (commits under the store mutex can overlap a
-  // backup stream reading the same suites).
-  uint64_t ReserveSeqs(size_t n) const { return cipher_->ReserveSeqs(n); }
-  Bytes EncryptWithSeq(uint64_t seq, ByteView plaintext) const {
-    return cipher_->EncryptWithSeq(seq, plaintext);
-  }
   Result<Bytes> Decrypt(ByteView ciphertext) const {
     return cipher_->Decrypt(ciphertext);
   }

@@ -14,7 +14,7 @@ ObjectStore::ObjectStore(ChunkStore* chunks, PartitionId partition,
       registry_(registry),
       options_(options),
       locks_(options.lock_timeout),
-      cache_(options.cache_capacity, options.cache_shards,
+      cache_(options.cache_capacity,
              {"object.cache_evictions", "object_cache"}) {
   if (options_.group_commit) {
     group_commit_ = std::make_unique<GroupCommitQueue>(

@@ -70,8 +70,6 @@ using ObjectId = ChunkId;
 struct ObjectStoreOptions {
   std::chrono::milliseconds lock_timeout{500};
   size_t cache_capacity = 4096;  // objects
-  // Object-cache shards; 0 = next power of two >= hardware concurrency.
-  size_t cache_shards = 0;
 
   // Coalesce concurrent Transaction::Commit calls into shared chunk-store
   // batch commits (group commit), at most kGroupCommitMaxBatch per leader.
@@ -199,7 +197,6 @@ class ObjectStore {
   void ResetCounts();
 
   size_t cache_size() const;
-  size_t cache_shards() const { return cache_.shard_count(); }
   // Read-only transactions currently pinning a snapshot (snapshot.pins).
   size_t snapshot_pins() const;
   // Commits parked on the group-commit queue right now; 0 when group commit

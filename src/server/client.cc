@@ -266,7 +266,7 @@ Result<std::vector<shard::PartitionEntry>> TdbClient::PartitionList() {
   TDB_ASSIGN_OR_RETURN(Response response,
                        RoundTrip(Request{.op = Op::kPartitionList}));
   TDB_RETURN_IF_ERROR(StatusFromResponse(response));
-  return UnpickleEntryList(response.object);
+  return shard::UnpickleEntryList(response.object);
 }
 
 Result<shard::PartitionEntry> TdbClient::PartitionLookup(
@@ -277,7 +277,7 @@ Result<shard::PartitionEntry> TdbClient::PartitionLookup(
   TDB_ASSIGN_OR_RETURN(Response response, RoundTrip(std::move(request)));
   TDB_RETURN_IF_ERROR(StatusFromResponse(response));
   TDB_ASSIGN_OR_RETURN(std::vector<shard::PartitionEntry> entries,
-                       UnpickleEntryList(response.object));
+                       shard::UnpickleEntryList(response.object));
   if (entries.size() != 1) {
     return CorruptionError("partition lookup returned " +
                            std::to_string(entries.size()) + " entries");

@@ -45,6 +45,7 @@
 #include "src/net/transport.h"
 #include "src/object/pickler.h"
 #include "src/server/wire.h"
+#include "src/shard/directory.h"
 
 namespace tdb::server {
 

@@ -488,7 +488,7 @@ Response TdbServer::HandleAdmin(const Request& request) {
             "server has no partition directory (single-partition mode)"));
       }
       Response response;
-      response.object = PickleEntryList(directory_->List());
+      response.object = shard::PickleEntryList(directory_->List());
       return response;
     }
     case Op::kPartitionLookup: {
@@ -503,7 +503,7 @@ Response TdbServer::HandleAdmin(const Request& request) {
       }
       Response response;
       response.object_id = entry->id;
-      response.object = PickleEntryList({*entry});
+      response.object = shard::PickleEntryList({*entry});
       return response;
     }
     case Op::kHandoffExport: {

@@ -225,37 +225,6 @@ Status StatusFromResponse(const Response& response) {
   return Status(response.code, response.message);
 }
 
-Bytes PickleEntryList(const std::vector<shard::PartitionEntry>& entries) {
-  PickleWriter w;
-  w.WriteVarint(entries.size());
-  for (const shard::PartitionEntry& e : entries) {
-    w.WriteVarint(e.id);
-    w.WriteString(e.name);
-    w.WriteU8(e.moved ? 1 : 0);
-    w.WriteString(e.moved_to);
-    w.WriteVarint(e.epoch);
-  }
-  return w.Take();
-}
-
-Result<std::vector<shard::PartitionEntry>> UnpickleEntryList(ByteView data) {
-  PickleReader r(data);
-  uint64_t count = r.ReadVarint();
-  std::vector<shard::PartitionEntry> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    shard::PartitionEntry e;
-    e.id = static_cast<PartitionId>(r.ReadVarint());
-    e.name = r.ReadString();
-    e.moved = r.ReadU8() != 0;
-    e.moved_to = r.ReadString();
-    e.epoch = r.ReadVarint();
-    entries.push_back(std::move(e));
-  }
-  TDB_RETURN_IF_ERROR(r.Done());
-  return entries;
-}
-
 Bytes PickleSnapshot(const obs::StatsSnapshot& s) {
   PickleWriter w;
   w.WriteBool(s.profiler_enabled);

@@ -30,7 +30,6 @@
 #include "src/common/bytes.h"
 #include "src/common/status.h"
 #include "src/obs/snapshot.h"
-#include "src/shard/directory.h"
 
 namespace tdb::server {
 
@@ -76,10 +75,10 @@ enum class Op : uint8_t {
   kPartitionCreate = 13,
   // Drops the partition named by request.object (data and catalog entry).
   kPartitionDrop = 14,
-  // response.object = pickled directory listing (see PickleEntryList).
+  // response.object = pickled directory listing (shard::PickleEntryList).
   kPartitionList = 15,
-  // Looks up the name in request.object; response.object = its pickled
-  // entry, response.object_id = its partition id. Serves as the "moved"
+  // Looks up the name in request.object; response.object = a one-entry
+  // listing, response.object_id = its partition id. Serves as the "moved"
   // redirect query: a moved entry carries the new server's address.
   kPartitionLookup = 16,
 
@@ -157,11 +156,6 @@ Result<std::vector<Response>> DecodeResponses(ByteView frame);
 // left empty), and the inverse for the client side.
 Response ResponseFromStatus(const Status& status);
 Status StatusFromResponse(const Response& response);
-
-// Directory listings (kPartitionList) and single entries (kPartitionLookup)
-// cross the wire in this pickled form.
-Bytes PickleEntryList(const std::vector<shard::PartitionEntry>& entries);
-Result<std::vector<shard::PartitionEntry>> UnpickleEntryList(ByteView data);
 
 // The kStats payload. Every field travels exactly: doubles as their IEEE
 // bits, histograms with their (nonzero) buckets, trace events with their

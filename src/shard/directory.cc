@@ -13,10 +13,32 @@ namespace {
 constexpr uint32_t kDirectoryMagic = 0x54444264;
 constexpr uint8_t kDirectoryVersion = 1;
 
-Bytes PickleEntries(const std::vector<PartitionEntry>& entries) {
+Bytes PickleTable(const std::vector<PartitionEntry>& entries) {
   PickleWriter w;
   w.WriteU32(kDirectoryMagic);
   w.WriteU8(kDirectoryVersion);
+  w.WriteRaw(PickleEntryList(entries));
+  return w.Take();
+}
+
+Result<std::vector<PartitionEntry>> UnpickleTable(ByteView data) {
+  PickleReader r(data);
+  uint32_t magic = r.ReadU32();
+  uint8_t version = r.ReadU8();
+  if (!r.ok() || magic != kDirectoryMagic) {
+    return NotFoundError("not a partition directory chunk");
+  }
+  if (version != kDirectoryVersion) {
+    return CorruptionError("unsupported partition directory version " +
+                           std::to_string(version));
+  }
+  return UnpickleEntryList(r.ReadRaw(r.remaining()));
+}
+
+}  // namespace
+
+Bytes PickleEntryList(const std::vector<PartitionEntry>& entries) {
+  PickleWriter w;
   w.WriteVarint(entries.size());
   for (const PartitionEntry& e : entries) {
     w.WriteVarint(e.id);
@@ -28,34 +50,24 @@ Bytes PickleEntries(const std::vector<PartitionEntry>& entries) {
   return w.Take();
 }
 
-Result<std::vector<PartitionEntry>> UnpickleEntries(ByteView data) {
+Result<std::vector<PartitionEntry>> UnpickleEntryList(ByteView data) {
   PickleReader r(data);
-  uint32_t magic = r.ReadU32();
-  uint8_t version = r.ReadU8();
-  if (!r.ok() || magic != kDirectoryMagic) {
-    return NotFoundError("not a partition directory chunk");
-  }
-  if (version != kDirectoryVersion) {
-    return CorruptionError("unsupported partition directory version " +
-                           std::to_string(version));
-  }
   uint64_t count = r.ReadVarint();
-  std::vector<PartitionEntry> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    PartitionEntry e;
+  // One byte at least for each of an entry's five fields.
+  if (!r.ok() || count > r.remaining() / 5) {
+    return CorruptionError("bad partition entry count");
+  }
+  std::vector<PartitionEntry> entries(count);
+  for (PartitionEntry& e : entries) {
     e.id = static_cast<PartitionId>(r.ReadVarint());
     e.name = r.ReadString();
     e.moved = r.ReadU8() != 0;
     e.moved_to = r.ReadString();
     e.epoch = r.ReadVarint();
-    entries.push_back(std::move(e));
   }
   TDB_RETURN_IF_ERROR(r.Done());
   return entries;
 }
-
-}  // namespace
 
 Result<std::unique_ptr<PartitionDirectory>> PartitionDirectory::Open(
     ChunkStore* chunks, CryptoParams params) {
@@ -68,7 +80,7 @@ Result<std::unique_ptr<PartitionDirectory>> PartitionDirectory::Open(
     if (!table.ok()) {
       continue;
     }
-    Result<std::vector<PartitionEntry>> entries = UnpickleEntries(*table);
+    Result<std::vector<PartitionEntry>> entries = UnpickleTable(*table);
     if (!entries.ok()) {
       if (entries.status().code() == StatusCode::kNotFound) {
         continue;  // some tenant's chunk, not ours
@@ -85,13 +97,13 @@ Result<std::unique_ptr<PartitionDirectory>> PartitionDirectory::Open(
   batch.WritePartition(pid, std::move(params));
   TDB_RETURN_IF_ERROR(chunks->Commit(std::move(batch)));
   TDB_ASSIGN_OR_RETURN(ChunkId chunk, chunks->AllocateChunk(pid));
-  TDB_RETURN_IF_ERROR(chunks->WriteChunk(chunk, PickleEntries({})));
+  TDB_RETURN_IF_ERROR(chunks->WriteChunk(chunk, PickleTable({})));
   return std::unique_ptr<PartitionDirectory>(
       new PartitionDirectory(chunks, chunk, {}));
 }
 
 Bytes PartitionDirectory::PickleLocked() const {
-  return PickleEntries(entries_);
+  return PickleTable(entries_);
 }
 
 Status PartitionDirectory::CommitLocked(ChunkStore::Batch batch) {

@@ -41,6 +41,15 @@ struct PartitionEntry {
   uint64_t epoch = 0;
 };
 
+// A list of entries, as the directory's table chunk holds it after its magic
+// and version, and as kPartitionList and kPartitionLookup answers carry it: a
+// varint count, then each entry's id, name, moved flag, moved_to and epoch.
+Bytes PickleEntryList(const std::vector<PartitionEntry>& entries);
+// Reads a PickleEntryList payload. The count is checked against the bytes
+// left (an entry takes at least 5 B) before anything is allocated, so a
+// hostile count cannot force a large allocation.
+Result<std::vector<PartitionEntry>> UnpickleEntryList(ByteView data);
+
 class PartitionDirectory {
  public:
   // Opens the store's directory, creating an empty one (its own partition,

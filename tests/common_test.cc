@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/pickle.h"
@@ -13,7 +15,6 @@
 #include "src/common/sharded_cache.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 
 namespace tdb {
 namespace {
@@ -265,60 +266,30 @@ TEST(ProfilerTest, NestedScopesExcludeChildren) {
   EXPECT_LT(outer_us, inner_us * 1.8);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_workers(), 3u);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(hits.size(),
-                   [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
-  ThreadPool pool(0);
-  std::vector<int> hits(64, 0);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i]++; });
-  for (int h : hits) {
-    EXPECT_EQ(h, 1);
-  }
-}
-
-TEST(ThreadPoolTest, FreeFunctionWithNullPoolRunsInline) {
-  std::vector<int> hits(17, 0);
-  ParallelFor(nullptr, hits.size(), [&](size_t i) { hits[i]++; });
-  for (int h : hits) {
-    EXPECT_EQ(h, 1);
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossManyBatches) {
-  ThreadPool pool(2);
-  std::atomic<size_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(20, [&](size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 1000u);
-}
-
 TEST(ProfilerTest, SamplesFromWorkerThreadsMergeIntoSnapshot) {
   Profiler& p = Profiler::Instance();
   p.Reset();
   p.Enable();
-  ThreadPool pool(4);
-  pool.ParallelFor(64, [](size_t) {
-    ProfileScope scope("pooled_module");
-    volatile double sink = 0;
-    for (int i = 0; i < 10000; ++i) {
-      sink = sink + static_cast<double>(i) * 0.5;
-    }
-  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([] {
+      for (int call = 0; call < 16; ++call) {
+        ProfileScope scope("worker_module");
+        volatile double sink = 0;
+        for (int i = 0; i < 10000; ++i) {
+          sink = sink + static_cast<double>(i) * 0.5;
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
   p.Disable();
   auto snapshot = p.Snapshot();
   bool found = false;
   for (const auto& e : snapshot) {
-    if (e.module == "pooled_module") {
+    if (e.module == "worker_module") {
       found = true;
       EXPECT_EQ(e.calls, 64u);
       EXPECT_GT(e.total_us, 0.0);
@@ -327,24 +298,21 @@ TEST(ProfilerTest, SamplesFromWorkerThreadsMergeIntoSnapshot) {
   EXPECT_TRUE(found);
 }
 
-// The capacity is a total budget, whatever the shard count (and so whatever
-// the host's core count, which sets the default shard count).
+// The capacity is a total budget, also below the shard count.
 TEST(ShardedLruCacheTest, NeverHoldsMoreThanItsCapacity) {
   for (size_t capacity : {0, 1, 2, 3, 5, 8, 64, 100}) {
-    for (size_t shards : {0, 1, 2, 4, 8, 64}) {
-      ShardedLruCache<int> cache(capacity, shards, {});
-      EXPECT_EQ(cache.enabled(), capacity > 0);
-      for (uint64_t rank = 0; rank < 4 * capacity + 16; ++rank) {
-        cache.Put(ChunkId(1, 0, rank), static_cast<int>(rank));
-        EXPECT_LE(cache.size(), capacity)
-            << "capacity=" << capacity << " shards=" << shards;
-      }
+    ShardedLruCache<int> cache(capacity, {});
+    EXPECT_EQ(cache.enabled(), capacity > 0);
+    EXPECT_LE(cache.shard_count(), std::max<size_t>(capacity, 1));
+    for (uint64_t rank = 0; rank < 4 * capacity + 16; ++rank) {
+      cache.Put(ChunkId(1, 0, rank), static_cast<int>(rank));
+      EXPECT_LE(cache.size(), capacity) << "capacity=" << capacity;
     }
   }
 }
 
 TEST(ShardedLruCacheTest, CapacityOneEvictsThePreviousEntry) {
-  ShardedLruCache<int> cache(1, 64, {});
+  ShardedLruCache<int> cache(1, {});
   EXPECT_EQ(cache.shard_count(), 1u);
   cache.Put(ChunkId(1, 0, 1), 1);
   cache.Put(ChunkId(1, 0, 2), 2);
@@ -353,8 +321,8 @@ TEST(ShardedLruCacheTest, CapacityOneEvictsThePreviousEntry) {
 }
 
 TEST(ShardedLruCacheTest, LargeCachesKeepTheirShards) {
-  ShardedLruCache<int> cache(4096, 4, {});
-  EXPECT_EQ(cache.shard_count(), 4u);
+  ShardedLruCache<int> cache(4096, {});
+  EXPECT_EQ(cache.shard_count(), kCacheShards);
   for (uint64_t rank = 0; rank < 4096; ++rank) {
     cache.Put(ChunkId(1, 0, rank), static_cast<int>(rank));
   }

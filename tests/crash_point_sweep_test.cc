@@ -289,7 +289,6 @@ struct MemEnv {
 ChunkStoreOptions StoreOptions(ValidationMode mode) {
   ChunkStoreOptions options;
   options.validation.mode = mode;
-  options.crypto_threads = 1;  // keep point numbering cheap to reason about
   return options;
 }
 

@@ -309,11 +309,12 @@ TEST(HardwareKernelTest, AesNiMatchesPortable) {
                                 in_place.data(), in_place.size() / 16);
     ASSERT_EQ(in_place, padded) << "len=" << len;
 
-    // The cipher the chunk store runs: IV = E_k(seq), then the CBC chain.
+    // The cipher the chunk store runs: IV = E_k(seq), then the CBC chain. A
+    // fresh cipher's first message has sequence number 1.
     auto aes = Aes128::Create(key);
     ASSERT_TRUE(aes.ok());
     Aes128Cbc cbc(*aes, "aes128-cbc");
-    uint64_t seq = rng.NextU64();
+    uint64_t seq = 1;
     uint8_t counter[16] = {0};
     std::memcpy(counter, &seq, sizeof(seq));
     uint8_t seq_iv[16];
@@ -321,7 +322,7 @@ TEST(HardwareKernelTest, AesNiMatchesPortable) {
     Bytes expected(seq_iv, seq_iv + 16);
     Append(expected, CbcEncryptWith(kernels::Aes128EncryptPortable, schedule,
                                     seq_iv, padded));
-    Bytes sealed = cbc.EncryptWithSeq(seq, plain);
+    Bytes sealed = cbc.Encrypt(plain);
     ASSERT_EQ(sealed, expected) << "len=" << len;
     auto opened = cbc.Decrypt(sealed);
     ASSERT_TRUE(opened.ok()) << "len=" << len;
@@ -458,40 +459,39 @@ TEST(CbcTest, WrongKeyFailsPaddingOrGarbles) {
   }
 }
 
-// Regression: ReserveSeqs used a plain counter, so a backup stream reserving
-// IVs while commits reserved from the same shared suite could hand out
-// overlapping sequence ranges (CBC IV reuse). Racing reservers must get
-// disjoint ranges; TSan additionally flags the old unsynchronized counter.
-TEST(CbcTest, ConcurrentSeqReservationsAreDisjoint) {
+// Regression: the IV counter was a plain integer, so a backup stream
+// encrypting under the shared system suite while commits did could reuse an
+// IV (CBC IV reuse). Racing encrypts must each get an IV of their own; TSan
+// additionally flags an unsynchronized counter.
+TEST(CbcTest, ConcurrentEncryptsNeverShareAnIv) {
   auto aes = Aes128::Create(Bytes(16, 1));
   ASSERT_TRUE(aes.ok());
   Aes128Cbc cbc(*aes, "aes128-cbc");
 
   constexpr int kThreads = 8;
-  constexpr int kReservesPerThread = 2000;
-  constexpr size_t kSpan = 3;  // each reservation claims seqs [first, first+2]
-  std::vector<std::vector<uint64_t>> firsts(kThreads);
+  constexpr int kEncryptsPerThread = 2000;
+  const Bytes plain = BytesFromString("same plaintext every time");
+  std::vector<std::vector<Bytes>> ivs(kThreads);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cbc, &firsts, t] {
-      firsts[t].reserve(kReservesPerThread);
-      for (int i = 0; i < kReservesPerThread; ++i) {
-        firsts[t].push_back(cbc.ReserveSeqs(kSpan));
+    workers.emplace_back([&cbc, &ivs, &plain, t] {
+      ivs[t].reserve(kEncryptsPerThread);
+      for (int i = 0; i < kEncryptsPerThread; ++i) {
+        Bytes ct = cbc.Encrypt(plain);
+        ivs[t].emplace_back(ct.begin(), ct.begin() + Aes128::kBlockSize);
       }
     });
   }
   for (auto& w : workers) w.join();
 
-  std::vector<uint64_t> all;
-  for (const auto& per_thread : firsts) {
+  std::vector<Bytes> all;
+  for (const auto& per_thread : ivs) {
     all.insert(all.end(), per_thread.begin(), per_thread.end());
   }
+  ASSERT_EQ(all.size(), static_cast<size_t>(kThreads * kEncryptsPerThread));
   std::sort(all.begin(), all.end());
-  ASSERT_EQ(all.size(), static_cast<size_t>(kThreads * kReservesPerThread));
-  EXPECT_EQ(all.front(), 1u);  // first reservation continues the serial path
-  for (size_t i = 1; i < all.size(); ++i) {
-    EXPECT_EQ(all[i], all[i - 1] + kSpan) << "overlapping IV ranges at " << i;
-  }
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+      << "two encrypts used the same IV";
 }
 
 TEST(SuiteTest, ParamsPickleRoundTrip) {

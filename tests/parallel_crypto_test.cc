@@ -1,11 +1,10 @@
-// Coverage for the parallel crypto pipeline (ChunkStoreOptions::
-// crypto_threads): the untrusted-store and archive images must be
-// byte-identical at any thread count (the fan-out reserves IV sequence
-// numbers serially in batch order), stores written either way must reopen
-// cleanly under both validation modes, and failures inside the fanned-out
-// cleaner (I/O faults, tampered chunks) must surface as one clean Status.
-// The images are also pinned to golden digests, so a crypto kernel that
-// changed a single ciphertext or hash byte fails here.
+// Pins the bytes the chunk store and the backup writer produce: a commit,
+// checkpoint, clean and backup workload must leave untrusted-store and
+// archive images that match golden digests under both validation modes, and
+// the store must reopen cleanly afterwards. A crypto kernel, an IV order or
+// a record layout that changed a single byte fails here. Failures inside
+// the cleaner's revalidation (I/O faults, tampered chunks) must surface as
+// one clean Status.
 
 #include <gtest/gtest.h>
 
@@ -51,16 +50,10 @@ Bytes DrainArchiveStream(MemArchive& archive, const std::string& name) {
   return all;
 }
 
-struct StoreImage {
-  Bytes superblock;
-  std::vector<Bytes> segments;
-  Bytes archive;
-};
-
-// Runs a commit + checkpoint + clean + backup workload at the given thread
-// count, verifies the store reopens cleanly afterwards, and returns the
-// resulting durable images.
-StoreImage RunWorkload(ValidationMode mode, size_t crypto_threads) {
+// Runs a commit + checkpoint + clean + backup workload, verifies the store
+// reopens cleanly afterwards, and returns the SHA-256 of the resulting
+// durable images: the superblock, every segment in order, then the archive.
+std::string RunWorkload(ValidationMode mode) {
   MemUntrustedStore store({.segment_size = 8192, .num_segments = 256});
   MemSecretStore secret(Bytes(32, 0xA5));
   MemTamperResistantRegister reg;
@@ -68,7 +61,6 @@ StoreImage RunWorkload(ValidationMode mode, size_t crypto_threads) {
   TrustedServices trusted{&secret, &reg, &counter};
   ChunkStoreOptions options;
   options.validation.mode = mode;
-  options.crypto_threads = crypto_threads;
 
   auto created = ChunkStore::Create(&store, trusted, options);
   EXPECT_TRUE(created.ok()) << created.status().ToString();
@@ -84,7 +76,7 @@ StoreImage RunWorkload(ValidationMode mode, size_t crypto_threads) {
     EXPECT_TRUE(chunks->Commit(std::move(batch)).ok());
   }
 
-  // One large multi-chunk commit per partition (CommitLocked fan-out).
+  // One large multi-chunk commit across both partitions.
   std::vector<ChunkId> ids1, ids2;
   {
     ChunkStore::Batch batch;
@@ -102,7 +94,7 @@ StoreImage RunWorkload(ValidationMode mode, size_t crypto_threads) {
     }
     EXPECT_TRUE(chunks->Commit(std::move(batch)).ok());
   }
-  EXPECT_TRUE(chunks->Checkpoint().ok());  // MaterializeTree fan-out
+  EXPECT_TRUE(chunks->Checkpoint().ok());
 
   // Obsolete most of the first segments so the cleaner has work.
   {
@@ -122,11 +114,11 @@ StoreImage RunWorkload(ValidationMode mode, size_t crypto_threads) {
     EXPECT_TRUE(chunks->Commit(std::move(batch)).ok());
   }
   EXPECT_TRUE(chunks->Checkpoint().ok());
-  auto cleaned = chunks->Clean(6);  // cleaner revalidation fan-out
+  auto cleaned = chunks->Clean(6);
   EXPECT_TRUE(cleaned.ok()) << cleaned.status().ToString();
   EXPECT_GT(*cleaned, 0u);
 
-  // Backup both partitions in one set (backup writer fan-out).
+  // Backup both partitions in one set.
   MemArchive archive;
   BackupStore backup(chunks.get());
   auto sink = archive.OpenSink("set");
@@ -153,24 +145,12 @@ StoreImage RunWorkload(ValidationMode mode, size_t crypto_threads) {
     EXPECT_FALSE((*reopened)->ChunkWritten(ids2[13]));
   }
 
-  StoreImage image;
-  image.superblock = store.DumpSuperblock();
-  image.segments.reserve(store.num_segments());
-  for (uint32_t s = 0; s < store.num_segments(); ++s) {
-    image.segments.push_back(store.DumpSegment(s));
-  }
-  image.archive = DrainArchiveStream(archive, "set");
-  return image;
-}
-
-// SHA-256 over the superblock, every segment in order, then the archive.
-std::string ImageDigest(const StoreImage& image) {
   Sha256 h;
-  h.Update(image.superblock);
-  for (const Bytes& segment : image.segments) {
-    h.Update(segment);
+  h.Update(store.DumpSuperblock());
+  for (uint32_t s = 0; s < store.num_segments(); ++s) {
+    h.Update(store.DumpSegment(s));
   }
-  h.Update(image.archive);
+  h.Update(DrainArchiveStream(archive, "set"));
   return HexEncode(h.Finish());
 }
 
@@ -181,106 +161,22 @@ constexpr const char* kCounterModeImageDigest =
 constexpr const char* kDirectHashModeImageDigest =
     "11d115d902035f9735848e185e3d9e38f50f5384c90f78396dfb2d9825e69395";
 
-void ExpectIdenticalImages(const StoreImage& serial,
-                           const StoreImage& parallel) {
-  EXPECT_EQ(serial.superblock, parallel.superblock);
-  ASSERT_EQ(serial.segments.size(), parallel.segments.size());
-  size_t mismatched = 0;
-  for (size_t s = 0; s < serial.segments.size(); ++s) {
-    if (serial.segments[s] != parallel.segments[s]) {
-      ++mismatched;
-      ADD_FAILURE() << "segment " << s << " differs between serial and "
-                    << "parallel runs";
-    }
-  }
-  EXPECT_EQ(mismatched, 0u);
-  EXPECT_EQ(serial.archive.size(), parallel.archive.size());
-  EXPECT_TRUE(serial.archive == parallel.archive)
-      << "archive bytes differ between serial and parallel runs";
+TEST(ImageDigestTest, CounterModeImageMatchesTheGoldenDigest) {
+  EXPECT_EQ(RunWorkload(ValidationMode::kCounter), kCounterModeImageDigest);
 }
 
-TEST(ParallelCryptoDeterminism, CounterModeImagesAreByteIdentical) {
-  StoreImage serial = RunWorkload(ValidationMode::kCounter, 0);
-  StoreImage parallel = RunWorkload(ValidationMode::kCounter, 8);
-  ExpectIdenticalImages(serial, parallel);
-  EXPECT_EQ(ImageDigest(serial), kCounterModeImageDigest);
+TEST(ImageDigestTest, DirectHashModeImageMatchesTheGoldenDigest) {
+  EXPECT_EQ(RunWorkload(ValidationMode::kDirectHash),
+            kDirectHashModeImageDigest);
 }
 
-TEST(ParallelCryptoDeterminism, DirectHashModeImagesAreByteIdentical) {
-  StoreImage serial = RunWorkload(ValidationMode::kDirectHash, 0);
-  StoreImage parallel = RunWorkload(ValidationMode::kDirectHash, 8);
-  ExpectIdenticalImages(serial, parallel);
-  EXPECT_EQ(ImageDigest(serial), kDirectHashModeImageDigest);
-}
-
-// A backup written with the parallel pipeline must restore onto a store
-// running serially (and vice versa): the Hp(chunk)-based signature is a
-// property of the stream, not of the writer's thread count.
-TEST(ParallelCryptoBackup, ParallelBackupRestoresOntoSerialStore) {
-  MemUntrustedStore store({.segment_size = 8192, .num_segments = 256});
-  MemSecretStore secret(Bytes(32, 0xA5));
-  MemMonotonicCounter counter;
-  TrustedServices trusted{&secret, nullptr, &counter};
-  ChunkStoreOptions options;
-  options.validation.mode = ValidationMode::kCounter;
-  options.crypto_threads = 8;
-  auto cs = ChunkStore::Create(&store, trusted, options);
-  ASSERT_TRUE(cs.ok());
-  auto p = (*cs)->AllocatePartition();
-  ASSERT_TRUE(p.ok());
-  {
-    ChunkStore::Batch batch;
-    batch.WritePartition(*p, DesSha1Params());
-    ASSERT_TRUE((*cs)->Commit(std::move(batch)).ok());
-  }
-  std::vector<ChunkId> ids;
-  {
-    ChunkStore::Batch batch;
-    for (size_t i = 0; i < 20; ++i) {
-      auto id = (*cs)->AllocateChunk(*p);
-      ASSERT_TRUE(id.ok());
-      ids.push_back(*id);
-      batch.WriteChunk(*id, PatternChunk(i, 700 + 33 * i));
-    }
-    ASSERT_TRUE((*cs)->Commit(std::move(batch)).ok());
-  }
-  MemArchive archive;
-  BackupStore backup(cs->get());
-  auto sink = archive.OpenSink("b");
-  ASSERT_TRUE(
-      backup.CreateBackupSet({{*p, 0}}, 1, 99, sink.get()).ok());
-  ASSERT_TRUE(sink->Close().ok());
-
-  // Fresh, strictly serial store.
-  MemUntrustedStore store2({.segment_size = 8192, .num_segments = 256});
-  MemSecretStore secret2(Bytes(32, 0xA5));
-  MemMonotonicCounter counter2;
-  TrustedServices trusted2{&secret2, nullptr, &counter2};
-  ChunkStoreOptions options2;
-  options2.validation.mode = ValidationMode::kCounter;
-  options2.crypto_threads = 0;
-  auto cs2 = ChunkStore::Create(&store2, trusted2, options2);
-  ASSERT_TRUE(cs2.ok());
-  BackupStore restore(cs2->get());
-  auto source = archive.OpenSource("b");
-  ASSERT_TRUE(source.ok());
-  auto result = restore.RestoreStream(source->get(), nullptr);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto r = (*cs2)->Read(ChunkId(*p, ids[i].position));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, PatternChunk(i, 700 + 33 * i));
-  }
-}
-
-class ParallelCleanerFailureTest : public ::testing::Test {
+class CleanerFailureTest : public ::testing::Test {
  protected:
-  ParallelCleanerFailureTest()
+  CleanerFailureTest()
       : base_({.segment_size = 8192, .num_segments = 256}),
         store_(&base_),
         secret_(Bytes(32, 0xA5)) {
     options_.validation.mode = ValidationMode::kCounter;
-    options_.crypto_threads = 8;
     auto cs = ChunkStore::Create(&store_, {&secret_, nullptr, &counter_},
                                  options_);
     EXPECT_TRUE(cs.ok());
@@ -322,7 +218,7 @@ class ParallelCleanerFailureTest : public ::testing::Test {
   std::unique_ptr<ChunkStore> chunks_;
 };
 
-TEST_F(ParallelCleanerFailureTest, ReadFaultSurfacesOneCleanStatus) {
+TEST_F(CleanerFailureTest, ReadFaultSurfacesOneCleanStatus) {
   PrepareCleanableState();
   store_.FailAfterReads(1);
   auto cleaned = chunks_->Clean(6);
@@ -330,19 +226,18 @@ TEST_F(ParallelCleanerFailureTest, ReadFaultSurfacesOneCleanStatus) {
   EXPECT_EQ(cleaned.status().code(), StatusCode::kIoError)
       << cleaned.status().ToString();
   // The fault fired before any log mutation: clearing it must leave the
-  // store fully usable, and the pool drained (a wedged pool would hang the
-  // next Clean).
+  // store fully usable.
   store_.ClearFault();
   auto retry = chunks_->Clean(6);
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
 }
 
-TEST_F(ParallelCleanerFailureTest, TamperDetectedDuringParallelRevalidation) {
+TEST_F(CleanerFailureTest, TamperDetectedDuringRevalidation) {
   ChunkId survivor = PrepareCleanableState();
   auto loc = chunks_->DebugChunkLocation(survivor);
   ASSERT_TRUE(loc.ok());
   // Flip a bit in the surviving version's body ciphertext; the cleaner's
-  // fanned-out revalidation must refuse to launder it. Clean everything so
+  // revalidation must refuse to launder it. Clean everything so
   // the survivor's segment is certainly among the cleaned set.
   base_.CorruptByte(loc->first.segment, loc->first.offset + loc->second - 1,
                     0x80);

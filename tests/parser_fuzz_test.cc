@@ -24,6 +24,7 @@
 #include "src/common/rng.h"
 #include "src/crypto/suite.h"
 #include "src/server/wire.h"
+#include "src/shard/directory.h"
 
 namespace tdb {
 namespace {
@@ -73,6 +74,18 @@ Status ParseStatsSnapshot(ByteView data) {
   }
   return snapshot.status();
 }
+// A server's kPartitionList/kPartitionLookup payload, read by a client.
+Status ParseEntryList(ByteView data) {
+  return shard::UnpickleEntryList(data).status();
+}
+// A frame as the server reads it from a client, and the answer as the
+// client reads it from the server.
+Status ParseRequests(ByteView data) {
+  return server::DecodeRequests(data).status();
+}
+Status ParseResponses(ByteView data) {
+  return server::DecodeResponses(data).status();
+}
 
 struct NamedParser {
   const char* name;
@@ -91,6 +104,9 @@ const NamedParser kParsers[] = {
     {"CleanerRecord", ParseCleaner},
     {"BackupDescriptor", ParseBackupDescriptor},
     {"StatsSnapshot", ParseStatsSnapshot},
+    {"PartitionEntryList", ParseEntryList},
+    {"RequestFrame", ParseRequests},
+    {"ResponseFrame", ParseResponses},
 };
 
 // ---- Valid exemplars for the bit-flip neighborhood ----
@@ -209,6 +225,40 @@ Bytes ValidStatsSnapshotBytes() {
   return server::PickleSnapshot(s);
 }
 
+Bytes ValidEntryListBytes() {
+  std::vector<shard::PartitionEntry> entries(2);
+  entries[0].id = 2;
+  entries[0].name = "orders";
+  entries[0].epoch = 1;
+  entries[1].id = 3;
+  entries[1].name = "users";
+  entries[1].moved = true;
+  entries[1].moved_to = "10.0.0.2:7478";
+  entries[1].epoch = 4;
+  return shard::PickleEntryList(entries);
+}
+
+// A transaction's begin and put riding with its commit.
+Bytes ValidRequestFrameBytes() {
+  std::vector<server::Request> requests(3);
+  requests[0].op = server::Op::kBegin;
+  requests[0].partition = 2;
+  requests[1].op = server::Op::kPut;
+  requests[1].object_id = ChunkId(2, 0, 5).Pack();
+  requests[1].object = BytesFromString("v1");
+  requests[2].op = server::Op::kCommit;
+  return server::EncodeRequests(requests);
+}
+
+Bytes ValidResponseFrameBytes() {
+  std::vector<server::Response> responses(3);
+  responses[0].object_id = 9;
+  responses[1].object = BytesFromString("v1");
+  responses[2].code = StatusCode::kMoved;
+  responses[2].message = "moved to 10.0.0.2:7478";
+  return server::EncodeResponses(responses);
+}
+
 Bytes ValidExemplar(const std::string& name) {
   if (name == "Descriptor") return ValidDescriptorBytes();
   if (name == "MapChunk") return ValidMapChunkBytes();
@@ -229,6 +279,9 @@ Bytes ValidExemplar(const std::string& name) {
   if (name == "CleanerRecord") return ValidCleanerBytes();
   if (name == "BackupDescriptor") return ValidBackupDescriptorBytes();
   if (name == "StatsSnapshot") return ValidStatsSnapshotBytes();
+  if (name == "PartitionEntryList") return ValidEntryListBytes();
+  if (name == "RequestFrame") return ValidRequestFrameBytes();
+  if (name == "ResponseFrame") return ValidResponseFrameBytes();
   ADD_FAILURE() << "no exemplar for " << name;
   return {};
 }
@@ -364,6 +417,13 @@ TEST(ParserFuzzTest, LengthBombsFailCleanlyInsteadOfAllocating) {
     w.WriteBool(true);                 // buckets present
     w.WriteVarint(uint64_t{1} << 60);  // nonzero buckets
     Status s = ParseStatsSnapshot(w.data());
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
+  }
+  // A partition listing that is only the entry count 2^60.
+  {
+    PickleWriter w;
+    w.WriteVarint(uint64_t{1} << 60);
+    Status s = ParseEntryList(w.data());
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
   }
 }

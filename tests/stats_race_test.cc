@@ -1,10 +1,9 @@
-// The TSan audit for satellite concurrency (carries the `tsan` label): with
-// the parallel crypto pipeline active (crypto_threads > 1), ChunkStore's
-// monotonic stat cells are atomics and GetStats reads them without taking
-// the store mutex, so stats readers, metrics snapshots, and committing
-// threads may all run concurrently. Under TSAN this test fails on any racy
-// counter; under a normal build it checks that concurrent reads never tear
-// or go backwards and that the final counts are exact.
+// The TSan audit for satellite concurrency (carries the `tsan` label):
+// ChunkStore's monotonic stat cells are atomics and GetStats reads them
+// without taking the store mutex, so stats readers, metrics snapshots, and
+// committing threads may all run concurrently. Under TSAN this test fails
+// on any racy counter; under a normal build it checks that concurrent reads
+// never tear or go backwards and that the final counts are exact.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +32,6 @@ TEST(StatsRaceTest, ConcurrentCommitsStatsAndSnapshots) {
   ChunkStoreOptions options;
   options.validation.mode = ValidationMode::kCounter;
   options.validation.delta_ut = 5;
-  options.crypto_threads = 4;
   auto cs = ChunkStore::Create(
       &store, TrustedServices{&secret, &reg, &counter}, options);
   ASSERT_TRUE(cs.ok()) << cs.status();
@@ -53,7 +51,7 @@ TEST(StatsRaceTest, ConcurrentCommitsStatsAndSnapshots) {
   constexpr int kChunksPerCommit = 8;
   std::atomic<bool> done{false};
 
-  // Committers drive the parallel crypto pipeline and the stat cells.
+  // Committers drive the commit path and the stat cells.
   std::vector<std::thread> committers;
   for (int t = 0; t < kCommitters; ++t) {
     committers.emplace_back([&, t] {
