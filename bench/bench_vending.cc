@@ -54,11 +54,8 @@ ExperimentResult RunTdb(bool bind) {
   }
   for (int rep = 0; rep < kRepetitions; ++rep) {
     (*ws)->ResetCounts();
-    Profiler& profiler = Profiler::Instance();
     obs::MetricsRegistry& metrics = obs::MetricsRegistry::Instance();
-    profiler.Reset();
     metrics.Reset();
-    profiler.Enable();
     metrics.Enable();
     double us = TimeUs([&] {
       Status status = bind ? workload.RunBindExperiment(kOpsPerExperiment)
@@ -69,7 +66,6 @@ ExperimentResult RunTdb(bool bind) {
         std::abort();
       }
     });
-    profiler.Disable();
     metrics.Disable();
     result.total_ms.Add(us / 1000.0);
     uint64_t flushes = metrics.GetCounter("untrusted_store.flushes");
@@ -78,7 +74,8 @@ ExperimentResult RunTdb(bool bind) {
     result.trusted_writes += static_cast<double>(trusted) / kRepetitions;
     result.modeled_ms.Add(us / 1000.0 + flushes * kModelUntrustedFlushMs +
                           trusted * kModelTrustedWriteMs);
-    for (const Profiler::Entry& entry : profiler.Snapshot()) {
+    for (const Profiler::Entry& entry :
+         Profiler::Modules(metrics.Histograms())) {
       result.module_ms[entry.module].Add(entry.total_us / 1000.0);
     }
     result.ops = (*ws)->counts();

@@ -134,10 +134,13 @@ int main(int argc, char** argv) {
 
   std::printf("\nshutting down...\n");
   srv.Stop();
-  server::TdbServer::Stats stats = srv.GetStats();
-  std::printf("served %llu sessions, %llu requests (%llu rejected)\n",
-              static_cast<unsigned long long>(stats.sessions_opened),
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.sessions_rejected));
+  const obs::MetricsRegistry& metrics = obs::MetricsRegistry::Instance();
+  std::printf(
+      "served %llu sessions, %llu requests (%llu rejected)\n",
+      static_cast<unsigned long long>(
+          metrics.GetCounter("server.sessions.opened")),
+      static_cast<unsigned long long>(metrics.GetCounter("server.requests")),
+      static_cast<unsigned long long>(
+          metrics.GetCounter("server.sessions.rejected")));
   return 0;
 }

@@ -233,16 +233,17 @@ void RunSnapshotPhase(ChunkStore* chunks) {
 // fetched from a server, in the same order.
 
 // Figure 12 reports per-module runtime with nested calls excluded; the
-// Profiler's ProfileScope does the same exclusion, so the table is a direct
-// readout of the snapshot's modules (largest first).
+// ProfileScope self-time histograms (module.*) do the same exclusion, so
+// the table is a direct readout of the snapshot's histograms.
 void PrintModules(const obs::StatsSnapshot& s) {
+  const std::vector<Profiler::Entry> modules = Profiler::Modules(s.histograms);
   double total_us = 0;
-  for (const Profiler::Entry& e : s.modules) {
+  for (const Profiler::Entry& e : modules) {
     total_us += e.total_us;
   }
   std::printf("\n== Figure-12-style module breakdown ==\n");
   std::printf("%-26s %12s %10s %7s\n", "module", "total_ms", "calls", "%");
-  for (const Profiler::Entry& e : s.modules) {
+  for (const Profiler::Entry& e : modules) {
     std::printf("%-26s %12.2f %10llu %6.1f%%\n", e.module.c_str(),
                 e.total_us / 1000.0, (unsigned long long)e.calls,
                 total_us > 0 ? 100.0 * e.total_us / total_us : 0.0);

@@ -108,7 +108,7 @@ Result<BackupDescriptor> BackupDescriptor::Unpickle(ByteView data) {
 Result<BackupStore::CreateResult> BackupStore::CreateBackupSet(
     const std::vector<PartitionSpec>& specs, uint64_t set_id,
     uint64_t created_unix, ArchivalSink* sink) {
-  ProfileScope scope("backup_store");
+  ProfileScope scope("module.backup_store");
   if (specs.empty()) {
     return InvalidArgumentError("backup set must cover at least one partition");
   }
@@ -222,7 +222,7 @@ Status BackupStore::WritePartitionBackup(PartitionId snapshot,
 
 Result<BackupStore::RestoreResult> BackupStore::RestoreStream(
     ArchivalSource* source, RestoreApprover approver) {
-  ProfileScope scope("backup_store");
+  ProfileScope scope("module.backup_store");
   const CryptoSuite& system = chunks_->system_suite();
 
   struct FoldedPartition {

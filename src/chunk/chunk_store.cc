@@ -14,6 +14,9 @@ namespace {
 
 constexpr uint32_t kSuperblockMagic = 0x54444201;  // "TDB" v1
 
+// A commit cleans when fewer than one segment in this many is free.
+constexpr size_t kCleanLowWaterDivisor = 8;
+
 // The reserved id of the system leader chunk, whose tree position changes as
 // the partition map grows (§4.3).
 ChunkId SystemLeaderId() {
@@ -320,7 +323,7 @@ Result<Bytes> ChunkStore::ReadVersion(const ChunkId& id,
                    desc.location.offset + static_cast<uint32_t>(header_size),
                    header->body_size));
   Result<Bytes> plain = [&] {
-    ProfileScope decrypt_scope("encryption");
+    ProfileScope decrypt_scope("module.encryption");
     return suite.Decrypt(body_ct);
   }();
   if (!plain.ok()) {
@@ -328,7 +331,7 @@ Result<Bytes> ChunkStore::ReadVersion(const ChunkId& id,
   }
   Bytes computed_hash;
   {
-    ProfileScope hash_scope("hashing");
+    ProfileScope hash_scope("module.hashing");
     computed_hash = suite.Hash(*plain);
   }
   if (!ConstantTimeEqual(computed_hash, desc.hash)) {
@@ -368,7 +371,7 @@ Result<Bytes> ChunkStore::Read(ChunkId id) {
   std::optional<CryptoSuite> suite;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ProfileScope scope("chunk_store");
+    ProfileScope scope("module.chunk_store");
     TDB_RETURN_IF_ERROR(CheckUsable());
     if (id.partition == kUnnamedPartition || id.position.height != 0) {
       return InvalidArgumentError("not a data chunk id: " + id.ToString());
@@ -382,7 +385,7 @@ Result<Bytes> ChunkStore::Read(ChunkId id) {
   }
   Result<Bytes> out = ReadVersion(id, desc, *suite, /*raise_alarm=*/false);
   std::lock_guard<std::mutex> lock(mu_);
-  ProfileScope scope("chunk_store");
+  ProfileScope scope("module.chunk_store");
   if (!out.ok()) {
     // A concurrent clean may have relocated the chunk between descriptor
     // resolution and the device read, leaving stale bytes at the old
@@ -484,7 +487,7 @@ std::vector<PartitionId> ChunkStore::ListPartitions() {
 Result<std::vector<ChunkPosition>> ChunkStore::Diff(
     PartitionId old_partition, PartitionId new_partition) {
   std::lock_guard<std::mutex> lock(mu_);
-  ProfileScope scope("chunk_store");
+  ProfileScope scope("module.chunk_store");
   TDB_RETURN_IF_ERROR(CheckUsable());
   TDB_ASSIGN_OR_RETURN(LeaderEntry* old_entry, GetLeader(old_partition));
   TDB_ASSIGN_OR_RETURN(LeaderEntry* new_entry, GetLeader(new_partition));
@@ -534,7 +537,7 @@ Result<PartitionId> ChunkStore::AllocatePartition() {
 
 Result<ChunkId> ChunkStore::AllocateChunk(PartitionId partition) {
   std::lock_guard<std::mutex> lock(mu_);
-  ProfileScope scope("chunk_store");
+  ProfileScope scope("module.chunk_store");
   TDB_RETURN_IF_ERROR(CheckUsable());
   if (partition == kSystemPartition || partition == kUnnamedPartition) {
     return InvalidArgumentError("cannot allocate chunks in this partition");
@@ -558,19 +561,19 @@ ChunkStore::BuiltVersion ChunkStore::BuildVersion(const BuildTask& task) {
   BuiltVersion built;
   built.desc.status = ChunkStatus::kWritten;
   {
-    ProfileScope hash_scope("hashing");
+    ProfileScope hash_scope("module.hashing");
     built.desc.hash = task.suite->Hash(task.plain);
   }
   Bytes body_ct;
   {
-    ProfileScope encrypt_scope("encryption");
+    ProfileScope encrypt_scope("module.encryption");
     body_ct = task.suite->Encrypt(task.plain);
   }
   VersionHeader header =
       VersionHeader::Named(task.id, static_cast<uint32_t>(body_ct.size()));
   Bytes header_ct;
   {
-    ProfileScope encrypt_scope("encryption");
+    ProfileScope encrypt_scope("module.encryption");
     header_ct = EncodeHeader(*system_suite_, header);
   }
   built.blob.reserve(header_ct.size() + body_ct.size());
@@ -639,7 +642,7 @@ Status ChunkStore::SealCommitSet(std::optional<uint64_t> count) {
 Result<std::vector<Location>> ChunkStore::AppendToCommitSet(
     std::vector<LogManager::Blob> blobs) {
   auto on_append = [this](ByteView bytes, bool is_link) {
-    ProfileScope hash_scope("hashing");
+    ProfileScope hash_scope("module.hashing");
     if (direct_) {
       // A checkpoint restarts the stream at the leader chunk: recovery scans
       // from the leader's location, so a link emitted just before it (to
@@ -656,8 +659,6 @@ Result<std::vector<Location>> ChunkStore::AppendToCommitSet(
     if (set_hash_ && !is_link) {
       set_hash_->Update(bytes);
     }
-    stats_.log_bytes_appended.fetch_add(bytes.size(),
-                                        std::memory_order_relaxed);
     obs::Count("chunk.log_bytes_appended", bytes.size());
   };
   Result<std::vector<Location>> locations = log_.Append(blobs, on_append);
@@ -703,7 +704,7 @@ Status ChunkStore::DeallocateChunk(ChunkId id) {
 
 Status ChunkStore::Commit(Batch batch) {
   std::lock_guard<std::mutex> lock(mu_);
-  ProfileScope scope("chunk_store");
+  ProfileScope scope("module.chunk_store");
   TDB_RETURN_IF_ERROR(CommitLocked(batch));
   // The batch is durable, so the commit succeeded. A failure of the
   // maintenance below is not the batch's (a caller that retried would apply
@@ -715,9 +716,8 @@ Status ChunkStore::Commit(Batch batch) {
     }
     // Reclaim space when free segments run low (§4.9.5: the cleaner "may be
     // invoked synchronously when space is low").
-    if (maintenance.ok() &&
-        log_.free_segment_count() <
-            options_.clean_low_water * store_->num_segments()) {
+    if (maintenance.ok() && log_.free_segment_count() * kCleanLowWaterDivisor <
+                                store_->num_segments()) {
       maintenance = CleanLocked(8).status();
     }
     Poison(std::move(maintenance));
@@ -936,8 +936,6 @@ Status ChunkStore::CommitLocked(Batch& batch) {
     tasks.push_back(BuildTask{w.id, *w.plain, w.suite});
     batch_plain_bytes += w.plain->size();
   }
-  stats_.bytes_committed.fetch_add(batch_plain_bytes,
-                                   std::memory_order_relaxed);
   Bytes dealloc_plain;
   if (!deallocs.empty() || !partition_deallocs.empty()) {
     dealloc_plain = dealloc_record.Pickle();
@@ -967,7 +965,6 @@ Status ChunkStore::CommitLocked(Batch& batch) {
     ApplyDescriptor(writes[i].id, descs[leader_writes.size() + i],
                     writes[i].old_desc);
   }
-  stats_.chunks_written.fetch_add(writes.size(), std::memory_order_relaxed);
   for (const auto& [id, old_desc] : deallocs) {
     ApplyDescriptor(id, FreeDescriptor(), old_desc);
   }
@@ -979,7 +976,6 @@ Status ChunkStore::CommitLocked(Batch& batch) {
   }
 
   TDB_RETURN_IF_ERROR(FinishCommitSet());
-  stats_.commits.fetch_add(1, std::memory_order_relaxed);
   obs::Count("chunk.commits");
   obs::Count("chunk.chunks_written", writes.size());
   obs::Count("chunk.bytes_committed", batch_plain_bytes);
@@ -991,11 +987,11 @@ Status ChunkStore::CommitLocked(Batch& batch) {
 Status ChunkStore::FinishCommitSet() {
   Status s = OkStatus();
   if (direct_ || options_.validation.flush_every_commit) {
-    ProfileScope scope("untrusted_store_write");
+    ProfileScope scope("module.untrusted_store_write");
     s = log_.FlushStore();
   }
   if (s.ok()) {
-    ProfileScope scope("tamper_resistant_store");
+    ProfileScope scope("module.tamper_resistant_store");
     s = direct_ ? direct_->WriteRegister(last_leader_loc_, log_.tail())
                 : counter_->MaybeFlush(/*force=*/false);
   }
@@ -1214,7 +1210,7 @@ Status ChunkStore::MaterializeTree(PartitionId partition) {
 
 Status ChunkStore::Checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
-  ProfileScope scope("chunk_store");
+  ProfileScope scope("module.chunk_store");
   return CheckpointLocked();
 }
 
@@ -1311,18 +1307,18 @@ Status ChunkStore::CheckpointLocked() {
   // superblock and counter leaves the log at most one commit ahead, inside
   // the accepted window, and recovery resynchronizes the counter.
   {
-    ProfileScope io_scope("untrusted_store_write");
+    ProfileScope io_scope("module.untrusted_store_write");
     TDB_RETURN_IF_ERROR(log_.FlushStore());
   }
   if (direct_) {
     {
-      ProfileScope trs_scope("tamper_resistant_store");
+      ProfileScope trs_scope("module.tamper_resistant_store");
       TDB_RETURN_IF_ERROR(direct_->WriteRegister(leader_loc, log_.tail()));
     }
     TDB_RETURN_IF_ERROR(WriteSuperblock(leader_loc, leader_size));
   } else {
     TDB_RETURN_IF_ERROR(WriteSuperblock(leader_loc, leader_size));
-    ProfileScope trs_scope("tamper_resistant_store");
+    ProfileScope trs_scope("module.tamper_resistant_store");
     TDB_RETURN_IF_ERROR(counter_->MaybeFlush(/*force=*/true));
   }
 
@@ -1330,7 +1326,6 @@ Status ChunkStore::CheckpointLocked() {
   last_leader_size_ = leader_size;
   checkpoint_tail_ = log_.tail();
   log_.OnCheckpointComplete(leader_loc);
-  stats_.checkpoints.fetch_add(1, std::memory_order_relaxed);
   obs::Count("chunk.checkpoints");
   obs::TraceEmit(obs::TraceKind::kCheckpoint, "chunk_store", dirty_at_entry,
                  leader_loc.segment);
@@ -1631,15 +1626,6 @@ Result<std::pair<Location, uint32_t>> ChunkStore::DebugChunkLocation(
 
 ChunkStore::Stats ChunkStore::GetStats() {
   Stats s;
-  // The monotonic cells are atomics: no lock needed, so stats polling never
-  // blocks behind a long commit.
-  s.commits = stats_.commits.load(std::memory_order_relaxed);
-  s.checkpoints = stats_.checkpoints.load(std::memory_order_relaxed);
-  s.segments_cleaned = stats_.segments_cleaned.load(std::memory_order_relaxed);
-  s.chunks_written = stats_.chunks_written.load(std::memory_order_relaxed);
-  s.bytes_committed = stats_.bytes_committed.load(std::memory_order_relaxed);
-  s.log_bytes_appended =
-      stats_.log_bytes_appended.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   s.cache_size = cache_.size();
   s.dirty_descriptors = cache_.dirty_count();

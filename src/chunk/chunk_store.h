@@ -59,9 +59,6 @@ struct ChunkStoreOptions {
   size_t checkpoint_dirty_threshold = 4096;
   bool auto_checkpoint = true;
 
-  // Clean when free segments drop below this fraction of the store.
-  double clean_low_water = 0.125;
-
   // Validated-chunk cache: decrypted, hash-verified chunk plaintexts served
   // on repeat reads without the store mutex (and without redoing decrypt +
   // hash verification). 0 disables it.
@@ -171,13 +168,10 @@ class ChunkStore {
   // Returns the number of segments cleaned.
   Result<size_t> Clean(size_t max_segments);
 
+  // The shape of the store right now. GetStats also publishes it as
+  // chunk.* gauges; what the store did (commits, checkpoints, bytes
+  // appended) is counted only in the metrics registry.
   struct Stats {
-    uint64_t commits = 0;
-    uint64_t checkpoints = 0;
-    uint64_t segments_cleaned = 0;
-    uint64_t chunks_written = 0;
-    uint64_t bytes_committed = 0;       // plaintext bytes
-    uint64_t log_bytes_appended = 0;    // on-log bytes incl. overhead
     uint64_t cache_size = 0;
     uint64_t dirty_descriptors = 0;
     uint64_t free_segments = 0;
@@ -373,21 +367,6 @@ class ChunkStore {
   };
   ShardedLruCache<ValidatedChunk> vcache_;
   std::atomic<uint64_t> read_gen_{1};
-
-  // Monotonic counters behind GetStats(). All writers hold mu_ today, but
-  // the cells are relaxed atomics so they can be read without the store
-  // mutex and stay race-free if a future path bumps them off-lock (the
-  // crypto workers share this object); updates also mirror into the
-  // process-wide obs::MetricsRegistry when observability is enabled.
-  struct StatCells {
-    std::atomic<uint64_t> commits{0};
-    std::atomic<uint64_t> checkpoints{0};
-    std::atomic<uint64_t> segments_cleaned{0};
-    std::atomic<uint64_t> chunks_written{0};
-    std::atomic<uint64_t> bytes_committed{0};
-    std::atomic<uint64_t> log_bytes_appended{0};
-  };
-  StatCells stats_;
 };
 
 }  // namespace tdb

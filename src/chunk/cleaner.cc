@@ -17,13 +17,20 @@ namespace tdb {
 
 Result<size_t> ChunkStore::Clean(size_t max_segments) {
   std::lock_guard<std::mutex> lock(mu_);
-  ProfileScope scope("chunk_store");
+  ProfileScope scope("module.chunk_store");
   return CleanLocked(max_segments);
 }
 
 Result<size_t> ChunkStore::CleanLocked(size_t max_segments) {
   TDB_RETURN_IF_ERROR(CheckUsable());
   std::vector<uint32_t> candidates = log_.CleanableSegments();
+  if (candidates.empty()) {
+    // Every used segment may belong to the residual log, which the cleaner
+    // skips; a hot set below checkpoint_dirty_threshold never checkpoints
+    // on its own. A checkpoint ends the residual log at its leader.
+    TDB_RETURN_IF_ERROR(CheckpointLocked());
+    candidates = log_.CleanableSegments();
+  }
   size_t cleaned = 0;
   for (uint32_t segment : candidates) {
     if (cleaned >= max_segments) {
@@ -34,7 +41,6 @@ Result<size_t> ChunkStore::CleanLocked(size_t max_segments) {
     }
     TDB_RETURN_IF_ERROR(CleanSegment(segment));
     ++cleaned;
-    stats_.segments_cleaned.fetch_add(1, std::memory_order_relaxed);
     obs::Count("cleaner.segments_cleaned");
   }
   if (cleaned > 0) {

@@ -69,22 +69,19 @@ Result<PartitionLeader> PartitionLeader::Unpickle(PickleReader& r) {
   leader.tree_height = r.ReadU8();
   TDB_ASSIGN_OR_RETURN(leader.root, Descriptor::Unpickle(r));
   leader.num_positions = r.ReadVarint();
-  uint64_t num_free = r.ReadVarint();
+  uint64_t num_free = r.ReadCount(1);
+  if (!r.ok()) {
+    return CorruptionError("free list larger than input");
+  }
   if (num_free > leader.num_positions) {
     return CorruptionError("free list larger than position space");
-  }
-  // Each free rank occupies at least one input byte; a count beyond the
-  // remaining data is forged. Checking it bounds the reserve() below, which
-  // would otherwise throw on an adversarial 2^60-entry count.
-  if (!r.ok() || num_free > r.remaining()) {
-    return CorruptionError("free list larger than input");
   }
   leader.free_ranks.reserve(num_free);
   for (uint64_t i = 0; i < num_free; ++i) {
     leader.free_ranks.push_back(r.ReadVarint());
   }
-  uint64_t num_copies = r.ReadVarint();
-  if (!r.ok() || num_copies > 65536) {
+  uint64_t num_copies = r.ReadCount(2);
+  if (!r.ok()) {
     return CorruptionError("bad copy list in leader");
   }
   leader.copies.reserve(num_copies);

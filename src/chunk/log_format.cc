@@ -61,16 +61,16 @@ Bytes DeallocateRecord::Pickle() const {
 Result<DeallocateRecord> DeallocateRecord::Unpickle(ByteView data) {
   PickleReader r(data);
   DeallocateRecord rec;
-  uint64_t num_chunks = r.ReadVarint();
-  if (!r.ok() || num_chunks > data.size()) {
+  uint64_t num_chunks = r.ReadCount(8);
+  if (!r.ok()) {
     return CorruptionError("bad deallocate record");
   }
   rec.chunks.reserve(num_chunks);
   for (uint64_t i = 0; i < num_chunks; ++i) {
     rec.chunks.push_back(ChunkId::Unpack(r.ReadU64()));
   }
-  uint64_t num_partitions = r.ReadVarint();
-  if (!r.ok() || num_partitions > data.size()) {
+  uint64_t num_partitions = r.ReadCount(2);
+  if (!r.ok()) {
     return CorruptionError("bad deallocate record");
   }
   rec.partitions.reserve(num_partitions);
@@ -148,8 +148,9 @@ Bytes CleanerRecord::Pickle() const {
 Result<CleanerRecord> CleanerRecord::Unpickle(ByteView data) {
   PickleReader r(data);
   CleanerRecord rec;
-  uint64_t num = r.ReadVarint();
-  if (!r.ok() || num > data.size()) {
+  // An entry is two 64-bit ids, a 32-bit size and a partition count.
+  uint64_t num = r.ReadCount(21);
+  if (!r.ok()) {
     return CorruptionError("bad cleaner record");
   }
   rec.entries.reserve(num);
@@ -158,8 +159,8 @@ Result<CleanerRecord> CleanerRecord::Unpickle(ByteView data) {
     e.original_id = ChunkId::Unpack(r.ReadU64());
     e.new_location = Location::Unpack(r.ReadU64());
     e.stored_size = r.ReadU32();
-    uint64_t num_parts = r.ReadVarint();
-    if (!r.ok() || num_parts > data.size()) {
+    uint64_t num_parts = r.ReadCount(2);
+    if (!r.ok()) {
       return CorruptionError("bad cleaner record");
     }
     e.current_in.reserve(num_parts);

@@ -40,10 +40,9 @@ Result<SystemLeaderRecord> SystemLeaderRecord::Unpickle(ByteView data) {
   PickleReader r(data);
   SystemLeaderRecord rec;
   TDB_ASSIGN_OR_RETURN(rec.system_tree, PartitionLeader::Unpickle(r));
-  uint64_t num_segments = r.ReadVarint();
-  // Each SegmentInfo occupies at least one input byte, so a count beyond the
-  // remaining data is forged — reject it before reserving memory for it.
-  if (!r.ok() || num_segments > (1u << 24) || num_segments > r.remaining()) {
+  // A SegmentInfo is a state byte and two 32-bit fields.
+  uint64_t num_segments = r.ReadCount(9);
+  if (!r.ok()) {
     return CorruptionError("bad segment table");
   }
   rec.segments.reserve(num_segments);

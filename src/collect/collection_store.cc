@@ -97,7 +97,7 @@ Result<Bytes> CollectionStore::KeyFor(const std::string& key_fn,
 Result<ObjectId> CollectionStore::CreateCollection(
     Transaction& txn, const std::string& name,
     const std::vector<IndexSpec>& indexes) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(ObjectPtr dir_object, txn.GetForUpdate(directory_id_));
   auto directory = std::dynamic_pointer_cast<const DirectoryObject>(dir_object);
   if (directory == nullptr) {
@@ -130,7 +130,7 @@ Result<ObjectId> CollectionStore::CreateCollection(
 
 Result<ObjectId> CollectionStore::FindCollection(Transaction& txn,
                                                  const std::string& name) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(ObjectPtr dir_object, txn.Get(directory_id_));
   auto directory = std::dynamic_pointer_cast<const DirectoryObject>(dir_object);
   if (directory == nullptr) {
@@ -145,7 +145,7 @@ Result<ObjectId> CollectionStore::FindCollection(Transaction& txn,
 
 Status CollectionStore::DropCollection(Transaction& txn,
                                        const std::string& name) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(ObjectId collection_id, FindCollection(txn, name));
   TDB_ASSIGN_OR_RETURN(auto collection,
                        GetCollection(txn, collection_id, /*for_update=*/true));
@@ -179,7 +179,7 @@ Result<std::vector<std::string>> CollectionStore::ListCollections(
 
 Status CollectionStore::AddIndex(Transaction& txn, ObjectId collection_id,
                                  const IndexSpec& spec) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(auto collection,
                        GetCollection(txn, collection_id, /*for_update=*/true));
   for (uint64_t packed : collection->index_object_ids) {
@@ -218,7 +218,7 @@ Status CollectionStore::AddIndex(Transaction& txn, ObjectId collection_id,
 
 Status CollectionStore::DropIndex(Transaction& txn, ObjectId collection_id,
                                   const std::string& index_name) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(auto collection,
                        GetCollection(txn, collection_id, /*for_update=*/true));
   TDB_ASSIGN_OR_RETURN(auto found,
@@ -232,7 +232,7 @@ Status CollectionStore::DropIndex(Transaction& txn, ObjectId collection_id,
 Result<ObjectId> CollectionStore::Insert(Transaction& txn,
                                          ObjectId collection_id,
                                          ObjectPtr object) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(auto collection,
                        GetCollection(txn, collection_id, /*for_update=*/true));
   TDB_ASSIGN_OR_RETURN(ObjectId object_id, txn.Insert(object));
@@ -252,7 +252,7 @@ Result<ObjectId> CollectionStore::Insert(Transaction& txn,
 
 Status CollectionStore::Update(Transaction& txn, ObjectId collection_id,
                                ObjectId object_id, ObjectPtr object) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(auto collection,
                        GetCollection(txn, collection_id, /*for_update=*/false));
   TDB_ASSIGN_OR_RETURN(ObjectPtr old_object, txn.GetForUpdate(object_id));
@@ -285,7 +285,7 @@ Status CollectionStore::Update(Transaction& txn, ObjectId collection_id,
 
 Status CollectionStore::Remove(Transaction& txn, ObjectId collection_id,
                                ObjectId object_id) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(auto collection,
                        GetCollection(txn, collection_id, /*for_update=*/true));
   TDB_ASSIGN_OR_RETURN(ObjectPtr old_object, txn.GetForUpdate(object_id));
@@ -305,7 +305,7 @@ Status CollectionStore::Remove(Transaction& txn, ObjectId collection_id,
 
 Result<std::vector<ObjectId>> CollectionStore::Scan(Transaction& txn,
                                                     ObjectId collection_id) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(auto collection,
                        GetCollection(txn, collection_id, /*for_update=*/false));
   std::vector<ObjectId> out;
@@ -319,7 +319,7 @@ Result<std::vector<ObjectId>> CollectionStore::Scan(Transaction& txn,
 Result<std::vector<ObjectId>> CollectionStore::LookupExact(
     Transaction& txn, ObjectId collection_id, const std::string& index_name,
     const Bytes& key) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(auto collection,
                        GetCollection(txn, collection_id, /*for_update=*/false));
   TDB_ASSIGN_OR_RETURN(auto found,
@@ -341,7 +341,7 @@ Result<std::vector<ObjectId>> CollectionStore::LookupExact(
 Result<std::vector<ObjectId>> CollectionStore::LookupRange(
     Transaction& txn, ObjectId collection_id, const std::string& index_name,
     const Bytes& lo, const Bytes& hi) {
-  ProfileScope scope("collection_store");
+  ProfileScope scope("module.collection_store");
   TDB_ASSIGN_OR_RETURN(auto collection,
                        GetCollection(txn, collection_id, /*for_update=*/false));
   TDB_ASSIGN_OR_RETURN(auto found,

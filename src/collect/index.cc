@@ -56,7 +56,7 @@ Result<ObjectPtr> IndexObject::UnpickleFields(PickleReader& r) {
   index->key_fn = r.ReadString();
   index->sorted = r.ReadBool();
   index->btree_root = r.ReadU64();
-  uint64_t n = r.ReadVarint();
+  uint64_t n = r.ReadCount(9);  // a length-prefixed key and an id
   TDB_RETURN_IF_ERROR(r.Check());
   index->entries.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -120,13 +120,13 @@ void CollectionObject::PickleFields(PickleWriter& w) const {
 Result<ObjectPtr> CollectionObject::UnpickleFields(PickleReader& r) {
   auto collection = std::make_shared<CollectionObject>();
   collection->collection_name = r.ReadString();
-  uint64_t num_members = r.ReadVarint();
+  uint64_t num_members = r.ReadCount(8);
   TDB_RETURN_IF_ERROR(r.Check());
   collection->members.reserve(num_members);
   for (uint64_t i = 0; i < num_members; ++i) {
     collection->members.push_back(r.ReadU64());
   }
-  uint64_t num_indexes = r.ReadVarint();
+  uint64_t num_indexes = r.ReadCount(8);
   TDB_RETURN_IF_ERROR(r.Check());
   for (uint64_t i = 0; i < num_indexes; ++i) {
     collection->index_object_ids.push_back(r.ReadU64());
@@ -145,7 +145,7 @@ void DirectoryObject::PickleFields(PickleWriter& w) const {
 
 Result<ObjectPtr> DirectoryObject::UnpickleFields(PickleReader& r) {
   auto directory = std::make_shared<DirectoryObject>();
-  uint64_t n = r.ReadVarint();
+  uint64_t n = r.ReadCount(9);  // a length-prefixed name and an id
   TDB_RETURN_IF_ERROR(r.Check());
   for (uint64_t i = 0; i < n; ++i) {
     std::string name = r.ReadString();

@@ -40,7 +40,7 @@ void BTreeNodeObject::PickleFields(PickleWriter& w) const {
 Result<ObjectPtr> BTreeNodeObject::UnpickleFields(PickleReader& r) {
   auto node = std::make_shared<BTreeNodeObject>();
   node->leaf = r.ReadBool();
-  uint64_t n = r.ReadVarint();
+  uint64_t n = r.ReadCount(9);  // a length-prefixed key and a value or child
   TDB_RETURN_IF_ERROR(r.Check());
   if (node->leaf) {
     node->entries.reserve(n);

@@ -128,6 +128,14 @@ Bytes PickleReader::ReadRaw(size_t n) {
   return b;
 }
 
+uint64_t PickleReader::ReadCount(size_t min_bytes_per_element) {
+  uint64_t n = ReadVarint();
+  if (ok_ && n > remaining() / min_bytes_per_element) {
+    ok_ = false;
+  }
+  return ok_ ? n : 0;
+}
+
 Status PickleReader::Done() const {
   if (!ok_) {
     return CorruptionError("pickle: truncated or malformed record");

@@ -57,6 +57,12 @@ class PickleReader {
   Bytes ReadBytes();
   std::string ReadString();
   Bytes ReadRaw(size_t n);
+  // Reads an element count (a varint) and fails the reader, returning 0,
+  // when that many elements of at least `min_bytes_per_element` bytes each
+  // could not fit in the bytes left. Decoders read their element counts
+  // through it, so a forged count can force neither a large allocation nor
+  // a long loop.
+  uint64_t ReadCount(size_t min_bytes_per_element);
 
   bool ok() const { return ok_; }
   size_t remaining() const { return data_.size() - pos_; }

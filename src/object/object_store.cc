@@ -122,24 +122,6 @@ Result<ObjectPtr> ObjectStore::LoadObject(const ObjectId& id) {
   return registry_->Unpickle(pickled);
 }
 
-ObjectStore::OpCounts ObjectStore::counts() const {
-  OpCounts out;
-  out.reads = counts_.reads.load(std::memory_order_relaxed);
-  out.updates = counts_.updates.load(std::memory_order_relaxed);
-  out.deletes = counts_.deletes.load(std::memory_order_relaxed);
-  out.adds = counts_.adds.load(std::memory_order_relaxed);
-  out.commits = counts_.commits.load(std::memory_order_relaxed);
-  return out;
-}
-
-void ObjectStore::ResetCounts() {
-  counts_.reads.store(0, std::memory_order_relaxed);
-  counts_.updates.store(0, std::memory_order_relaxed);
-  counts_.deletes.store(0, std::memory_order_relaxed);
-  counts_.adds.store(0, std::memory_order_relaxed);
-  counts_.commits.store(0, std::memory_order_relaxed);
-}
-
 size_t ObjectStore::cache_size() const { return cache_.size(); }
 
 // ---------------------------------------------------------------------------
@@ -163,7 +145,6 @@ Result<ObjectPtr> Transaction::GetSnapshot(ObjectId id) {
   // caller-visible id maps to the copy by swapping the partition. No locks:
   // the copy is immutable while pinned.
   ObjectId snap_id(snapshot_->copy_id, id.position);
-  store_->counts_.reads.fetch_add(1, std::memory_order_relaxed);
   if (std::optional<ObjectPtr> cached = store_->CacheGet(snap_id)) {
     return *cached;
   }
@@ -173,7 +154,7 @@ Result<ObjectPtr> Transaction::GetSnapshot(ObjectId id) {
 }
 
 Result<ObjectPtr> Transaction::GetInternal(ObjectId id, LockMode mode) {
-  ProfileScope scope("object_store");
+  ProfileScope scope("module.object_store");
   if (!active_) {
     return FailedPreconditionError("transaction is finished");
   }
@@ -185,7 +166,6 @@ Result<ObjectPtr> Transaction::GetInternal(ObjectId id, LockMode mode) {
     return GetSnapshot(id);
   }
   TDB_RETURN_IF_ERROR(store_->locks_.Acquire(txn_id_, id, mode));
-  store_->counts_.reads.fetch_add(1, std::memory_order_relaxed);
   auto pending = write_set_.find(id);
   if (pending != write_set_.end()) {
     if (!pending->second.has_value()) {
@@ -210,7 +190,7 @@ Result<ObjectPtr> Transaction::GetForUpdate(ObjectId id) {
 }
 
 Result<ObjectId> Transaction::Insert(ObjectPtr object) {
-  ProfileScope scope("object_store");
+  ProfileScope scope("module.object_store");
   if (!active_) {
     return FailedPreconditionError("transaction is finished");
   }
@@ -225,12 +205,11 @@ Result<ObjectId> Transaction::Insert(ObjectPtr object) {
   TDB_RETURN_IF_ERROR(
       store_->locks_.Acquire(txn_id_, id, LockMode::kExclusive));
   write_set_[id] = std::move(object);
-  store_->counts_.adds.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
 Status Transaction::Put(ObjectId id, ObjectPtr object) {
-  ProfileScope scope("object_store");
+  ProfileScope scope("module.object_store");
   if (!active_) {
     return FailedPreconditionError("transaction is finished");
   }
@@ -243,12 +222,11 @@ Status Transaction::Put(ObjectId id, ObjectPtr object) {
   TDB_RETURN_IF_ERROR(
       store_->locks_.Acquire(txn_id_, id, LockMode::kExclusive));
   write_set_[id] = std::move(object);
-  store_->counts_.updates.fetch_add(1, std::memory_order_relaxed);
   return OkStatus();
 }
 
 Status Transaction::Delete(ObjectId id) {
-  ProfileScope scope("object_store");
+  ProfileScope scope("module.object_store");
   if (!active_) {
     return FailedPreconditionError("transaction is finished");
   }
@@ -270,12 +248,11 @@ Status Transaction::Delete(ObjectId id) {
     }
     write_set_[id] = std::nullopt;
   }
-  store_->counts_.deletes.fetch_add(1, std::memory_order_relaxed);
   return OkStatus();
 }
 
 Status Transaction::Commit() {
-  ProfileScope scope("object_store");
+  ProfileScope scope("module.object_store");
   if (!active_) {
     return FailedPreconditionError("transaction is finished");
   }
@@ -317,7 +294,6 @@ Status Transaction::Commit() {
       // snapshot bookkeeping.
       store_->data_version_.fetch_add(1, std::memory_order_acq_rel);
     }
-    store_->counts_.commits.fetch_add(1, std::memory_order_relaxed);
     obs::Count("object.txn_commits");
   }
   write_set_.clear();

@@ -183,18 +183,11 @@ class ObjectStore {
   ChunkStore* chunk_store() { return chunks_; }
   const TypeRegistry& registry() const { return *registry_; }
 
-  // Operation counters in the shape of Figure 10. Maintained as relaxed
-  // atomics so concurrent transactions never contend on a counter lock;
-  // counts() is a consistent-enough snapshot for reporting, not a fence.
-  struct OpCounts {
-    uint64_t reads = 0;
-    uint64_t updates = 0;
-    uint64_t deletes = 0;
-    uint64_t adds = 0;
-    uint64_t commits = 0;
-  };
-  OpCounts counts() const;
-  void ResetCounts();
+  // Transactions that committed a write since this store was opened (the
+  // partition's data version).
+  uint64_t write_commits() const {
+    return data_version_.load(std::memory_order_acquire);
+  }
 
   size_t cache_size() const;
   // Read-only transactions currently pinning a snapshot (snapshot.pins).
@@ -244,14 +237,6 @@ class ObjectStore {
   std::atomic<size_t> pins_{0};
 
   std::atomic<uint64_t> next_txn_id_{1};
-  struct CountCells {
-    std::atomic<uint64_t> reads{0};
-    std::atomic<uint64_t> updates{0};
-    std::atomic<uint64_t> deletes{0};
-    std::atomic<uint64_t> adds{0};
-    std::atomic<uint64_t> commits{0};
-  };
-  CountCells counts_;
 };
 
 }  // namespace tdb

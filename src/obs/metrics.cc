@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace tdb::obs {
 
@@ -16,14 +17,25 @@ struct Hist {
   std::vector<uint64_t> buckets;
 };
 
+// The entry for a site's name, made on its first use. The maps compare
+// with std::less<>, so a hit builds no std::string.
+template <typename Map>
+typename Map::mapped_type& EntryFor(Map& map, const char* name) {
+  auto it = map.find(std::string_view(name));
+  if (it == map.end()) {
+    it = map.emplace(name, typename Map::mapped_type{}).first;
+  }
+  return it->second;
+}
+
 }  // namespace
 
 // Metrics for one thread. Its mutex is uncontended on the hot path (only
 // merge/Reset ever take it from another thread).
 struct MetricsRegistry::ThreadBlock {
   std::mutex mu;
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, Hist> histograms;
+  std::map<std::string, uint64_t, std::less<>> counters;
+  std::map<std::string, Hist, std::less<>> histograms;
 };
 
 MetricsRegistry& MetricsRegistry::Instance() {
@@ -54,7 +66,7 @@ void MetricsRegistry::Reset() {
 void MetricsRegistry::Add(const char* counter, uint64_t n) {
   ThreadBlock& b = LocalBlock();
   std::lock_guard<std::mutex> lock(b.mu);
-  b.counters[counter] += n;
+  EntryFor(b.counters, counter) += n;
 }
 
 void MetricsRegistry::SetGauge(const char* gauge, double value) {
@@ -65,7 +77,7 @@ void MetricsRegistry::SetGauge(const char* gauge, double value) {
 void MetricsRegistry::Observe(const char* histogram, double value) {
   ThreadBlock& b = LocalBlock();
   std::lock_guard<std::mutex> lock(b.mu);
-  Hist& h = b.histograms[histogram];
+  Hist& h = EntryFor(b.histograms, histogram);
   if (h.count == 0 || value < h.min) {
     h.min = value;
   }

@@ -1,14 +1,18 @@
 // Process-wide metrics registry: named counters, gauges, and latency
-// histograms.
+// histograms. It is the only place the program counts or times anything;
+// module self time (Figure 12) is a family of its histograms, "module.*"
+// (profiler.h).
 //
 // Counters and histogram samples accumulate into per-thread sharded blocks
-// (the same design as the Profiler) so crypto workers never contend on a
-// global lock; blocks are merged when a snapshot is taken. Gauges are
-// last-writer-wins and live under the registry mutex — they are set from
-// slow paths (GetStats, snapshots), never from hot loops.
+// so concurrent threads never contend on a global lock; blocks are merged
+// when a snapshot is taken. Gauges are last-writer-wins and live under the
+// registry mutex — they are set from slow paths (GetStats, snapshots),
+// never from hot loops.
 //
-// The registry is compiled in but costs a single relaxed atomic load per
-// site when disabled (use the Count/SetGauge/Observe helpers below).
+// Counts are process-wide, and are recorded only while the registry is
+// enabled. The registry is compiled in but costs a single relaxed atomic
+// load per site when disabled (use the Count/SetGauge/Observe helpers
+// below).
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_

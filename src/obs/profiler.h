@@ -2,65 +2,53 @@
 // analysis"): per-module wall time where "the time reported for each module
 // excludes nested calls to other reported modules".
 //
-// Implementation: a per-thread stack of active scopes. Entering a scope
-// pauses the enclosing scope's accumulation; leaving resumes it. Samples
-// accumulate into per-thread blocks (so crypto workers never contend on a
-// global lock) and are merged when a snapshot is taken.
+// A ProfileScope observes its module's self time, in microseconds, into the
+// MetricsRegistry histogram it names ("module.<name>"). A per-thread stack
+// of active scopes does the exclusion: entering a scope pauses the
+// enclosing one, and leaving resumes it. Scopes record only while the
+// registry is enabled and cost one relaxed atomic load when it is not.
 //
-// Profiling is compiled in but costs only a few nanoseconds per scope when
-// disabled (a single relaxed atomic load).
+// Profiler holds no state. It reads the module histograms back as the
+// Figure-12 table.
 
 #ifndef SRC_OBS_PROFILER_H_
 #define SRC_OBS_PROFILER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "src/obs/metrics.h"
 
 namespace tdb {
 
 class Profiler {
  public:
   struct Entry {
-    std::string module;
+    std::string module;  // the histogram name without "module."
     double total_us = 0.0;
     uint64_t calls = 0;
   };
 
+  // The module.* histograms among `histograms`, largest total first.
+  static std::vector<Entry> Modules(
+      const std::vector<obs::MetricsRegistry::HistogramSnapshot>& histograms);
+
   static Profiler& Instance();
 
-  void Enable() { enabled_.store(true, std::memory_order_relaxed); }
-  void Disable() { enabled_.store(false, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  void Reset();
-  void AddSample(const char* module, double us);
+  // Modules() of the registry's current histograms.
   std::vector<Entry> Snapshot() const;
 
  private:
-  struct ThreadBlock;
-
   Profiler() = default;
-
-  // The calling thread's sample block, registered on first use. Blocks are
-  // never removed from the registry (threads may outlive a Reset), only
-  // cleared, so the thread_local handle in LocalBlock stays valid.
-  ThreadBlock& LocalBlock();
-
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;  // guards the block registry
-  std::vector<std::shared_ptr<ThreadBlock>> blocks_;
 };
 
-// RAII scope that attributes elapsed time to `module`, excluding time spent
-// in nested ProfileScopes (which is attributed to their own modules).
+// RAII scope that observes the elapsed time, excluding time spent in nested
+// ProfileScopes, into `histogram` ("module.<name>").
 class ProfileScope {
  public:
-  explicit ProfileScope(const char* module);
+  explicit ProfileScope(const char* histogram);
   ~ProfileScope();
 
   ProfileScope(const ProfileScope&) = delete;
@@ -69,7 +57,7 @@ class ProfileScope {
  private:
   using Clock = std::chrono::steady_clock;
 
-  const char* module_ = nullptr;
+  const char* histogram_ = nullptr;
   bool active_ = false;
   double self_us_ = 0.0;       // accumulated while this scope is on top
   Clock::time_point started_;  // start of the current on-top interval

@@ -1,6 +1,5 @@
 #include "src/obs/snapshot.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -116,19 +115,16 @@ std::map<std::string, double> Derive(
 }  // namespace
 
 void EnableAll() {
-  Profiler::Instance().Enable();
   MetricsRegistry::Instance().Enable();
   TraceJournal::Instance().Enable();
 }
 
 void DisableAll() {
-  Profiler::Instance().Disable();
   MetricsRegistry::Instance().Disable();
   TraceJournal::Instance().Disable();
 }
 
 void ResetAll() {
-  Profiler::Instance().Reset();
   MetricsRegistry::Instance().Reset();
   TraceJournal::Instance().Reset();
 }
@@ -139,21 +135,12 @@ std::map<std::string, double> DerivedRatios() {
 }
 
 StatsSnapshot TakeSnapshot(size_t max_trace_events) {
-  Profiler& prof = Profiler::Instance();
   MetricsRegistry& metrics = MetricsRegistry::Instance();
   TraceJournal& trace = TraceJournal::Instance();
 
   StatsSnapshot s;
-  s.profiler_enabled = prof.enabled();
   s.metrics_enabled = metrics.enabled();
   s.trace_enabled = trace.enabled();
-
-  // Per-module self time (Figure-12 style), largest first.
-  s.modules = prof.Snapshot();
-  std::stable_sort(s.modules.begin(), s.modules.end(),
-                   [](const Profiler::Entry& x, const Profiler::Entry& y) {
-                     return x.total_us > y.total_us;
-                   });
 
   s.counters = metrics.Counters();
   s.gauges = metrics.Gauges();
@@ -181,25 +168,25 @@ std::string ToJson(const StatsSnapshot& s) {
   out.reserve(4096);
   out += "{\n";
 
-  out += "  \"enabled\": {\"profiler\": ";
-  out += s.profiler_enabled ? "true" : "false";
-  out += ", \"metrics\": ";
+  out += "  \"enabled\": {\"metrics\": ";
   out += s.metrics_enabled ? "true" : "false";
   out += ", \"trace\": ";
   out += s.trace_enabled ? "true" : "false";
   out += "},\n";
 
+  // Per-module self time (Figure-12 style), largest first.
+  const std::vector<Profiler::Entry> modules = Profiler::Modules(s.histograms);
   out += "  \"modules\": [";
-  for (size_t i = 0; i < s.modules.size(); ++i) {
+  for (size_t i = 0; i < modules.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"module\": \"" + JsonEscape(s.modules[i].module) +
+    out += "    {\"module\": \"" + JsonEscape(modules[i].module) +
            "\", \"total_us\": ";
-    AppendF(out, "%.3f", s.modules[i].total_us);
+    AppendF(out, "%.3f", modules[i].total_us);
     out += ", \"calls\": ";
-    AppendU(out, s.modules[i].calls);
+    AppendU(out, modules[i].calls);
     out += "}";
   }
-  out += s.modules.empty() ? "],\n" : "\n  ],\n";
+  out += modules.empty() ? "],\n" : "\n  ],\n";
 
   AppendObject(out, "counters", s.counters,
                [&out](uint64_t n) { AppendU(out, n); });

@@ -1,8 +1,9 @@
-// One unified observability snapshot, as a value: the module Profiler's
-// self-time table, the MetricsRegistry's counters, gauges and histograms
-// (with their buckets), the derived ratios (cache hit rates, log
-// utilization, cleaning overhead) computed from those same counters and
-// gauges, and the trace journal's totals and most recent events.
+// One unified observability snapshot, as a value: the MetricsRegistry's
+// counters, gauges and histograms (with their buckets; the module.*
+// histograms are the Figure-12 self-time table, Profiler::Modules), the
+// derived ratios (cache hit rates, log utilization, cleaning overhead)
+// computed from those same counters and gauges, and the trace journal's
+// totals and most recent events.
 //
 // TakeSnapshot collects it and ToJson renders it. The server ships it
 // pickled over the wire (kStats, src/server/wire.h), `examples/tdb_stats`
@@ -40,10 +41,8 @@ struct StatsSnapshot {
 
   // Whether each source was recording. A snapshot with everything disabled
   // is still valid: it reflects whatever was recorded while enabled.
-  bool profiler_enabled = false;
   bool metrics_enabled = false;
   bool trace_enabled = false;
-  std::vector<Profiler::Entry> modules;  // largest total_us first
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::vector<MetricsRegistry::HistogramSnapshot> histograms;  // by name
@@ -55,8 +54,8 @@ struct StatsSnapshot {
   std::vector<Event> trace_events;                      // oldest first
 };
 
-// Convenience toggles for the whole observability stack (Profiler +
-// MetricsRegistry + TraceJournal).
+// Convenience toggles for the whole observability stack (MetricsRegistry +
+// TraceJournal).
 void EnableAll();
 void DisableAll();
 void ResetAll();
@@ -65,7 +64,8 @@ void ResetAll();
 // the most recent trace events are kept; exact per-kind totals always are.
 StatsSnapshot TakeSnapshot(size_t max_trace_events = 64);
 
-// The snapshot as a JSON object (pretty-printed, two-space indent).
+// The snapshot as a JSON object (pretty-printed, two-space indent). Its
+// "modules" array is Profiler::Modules of the histograms.
 std::string ToJson(const StatsSnapshot& snapshot);
 
 // Derived ratios computed from live counters/gauges; only ratios whose

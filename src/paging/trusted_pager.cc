@@ -41,7 +41,6 @@ Result<TrustedPager::Page*> TrustedPager::Touch(uint64_t page_no,
     if (data.size() != options_.page_size) {
       return TamperDetectedError("paged-out page has wrong size");
     }
-    ++stats_.faults;
     obs::Count("paging.faults");
     obs::TraceEmit(obs::TraceKind::kPageFault, "paging", page_no);
   } else {
@@ -78,7 +77,6 @@ Status TrustedPager::EvictIfNeeded() {
     auto it = resident_.find(page_no);
     lru_.erase(it->second.lru_it);
     resident_.erase(it);
-    ++stats_.evictions;
     obs::TraceEmit(obs::TraceKind::kCacheEviction, "paging", page_no);
   }
   obs::Count("paging.evictions", victims.size());
@@ -100,7 +98,6 @@ Status TrustedPager::WriteBack(const std::vector<uint64_t>& page_numbers) {
   TDB_RETURN_IF_ERROR(chunks_->Commit(std::move(batch)));
   for (uint64_t page_no : page_numbers) {
     resident_[page_no].dirty = false;
-    ++stats_.writebacks;
     obs::TraceEmit(obs::TraceKind::kPageWriteback, "paging", page_no);
   }
   obs::Count("paging.writebacks", page_numbers.size());

@@ -8,7 +8,8 @@
 // bounded resident set. Faulted-in pages are decrypted and validated by the
 // chunk store; evicted dirty pages are encrypted, hashed, and committed.
 // Any tampering with a paged-out page surfaces as kTamperDetected at
-// fault-in time.
+// fault-in time. Hits, faults, evictions and writebacks are counted in the
+// metrics registry (paging.*).
 
 #ifndef SRC_PAGING_TRUSTED_PAGER_H_
 #define SRC_PAGING_TRUSTED_PAGER_H_
@@ -46,12 +47,6 @@ class TrustedPager {
   // suspended).
   Status FlushAll();
 
-  struct Stats {
-    uint64_t faults = 0;       // pages loaded from the chunk store
-    uint64_t evictions = 0;    // pages dropped from trusted memory
-    uint64_t writebacks = 0;   // dirty pages committed
-  };
-  Stats stats() const { return stats_; }
   size_t resident_count() const { return resident_.size(); }
   PartitionId partition() const { return partition_; }
 
@@ -77,7 +72,6 @@ class TrustedPager {
   std::map<uint64_t, Page> resident_;
   std::list<uint64_t> lru_;  // front = most recent
   std::map<uint64_t, ChunkId> backing_;  // page -> chunk (once paged out)
-  Stats stats_;
 };
 
 }  // namespace tdb

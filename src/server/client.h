@@ -108,7 +108,7 @@ class TdbClient {
 
   // Remote stats: the server's full observability snapshot (gauges
   // refreshed), exactly as obs::TakeSnapshot took it there, and a reset of
-  // the server's metrics/profiler/trace state. Both work outside a
+  // the server's metrics and trace state. Both work outside a
   // transaction.
   Result<obs::StatsSnapshot> FetchStats();
   Status ResetStats();

@@ -19,6 +19,10 @@ namespace {
 // and the idle clock; bounds shutdown latency, not request latency.
 constexpr std::chrono::milliseconds kRecvPollInterval{200};
 
+// How long a hand-off cut-over waits for in-flight transactions to drain
+// before giving up (the partition resumes serving on timeout).
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
+
 double MicrosBetween(std::chrono::steady_clock::time_point from,
                      std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
@@ -106,9 +110,7 @@ Status TdbServer::Start(net::Transport* transport, const std::string& address) {
     return InvalidArgumentError("max_sessions must be positive");
   }
   TDB_ASSIGN_OR_RETURN(listener_, transport->Listen(address));
-  size_t workers = options_.worker_threads != 0 ? options_.worker_threads
-                                                : options_.max_sessions;
-  workers_ = std::make_unique<ThreadPool>(workers);
+  workers_ = std::make_unique<ThreadPool>(options_.max_sessions);
   stop_.store(false, std::memory_order_release);
   started_ = true;
   acceptor_ = std::thread([this] { AcceptLoop(); });
@@ -143,17 +145,11 @@ std::string TdbServer::address() const {
 
 void TdbServer::PublishGauges() {
   {
-    // The session gauges change under sessions_mu_ wherever a session
-    // opens, closes or is turned away, so a refresh cannot set one back.
+    // The gauge changes under sessions_mu_ wherever a session opens or
+    // closes, so a refresh cannot set it back.
     std::lock_guard<std::mutex> lock(sessions_mu_);
     obs::SetGauge("server.sessions.active",
                   static_cast<double>(live_sessions_.size()));
-    obs::SetGauge("server.sessions.opened",
-                  static_cast<double>(
-                      sessions_opened_.load(std::memory_order_relaxed)));
-    obs::SetGauge("server.sessions.rejected",
-                  static_cast<double>(
-                      sessions_rejected_.load(std::memory_order_relaxed)));
   }
   std::vector<std::shared_ptr<shard::PartitionEngine>> engines =
       engines_.Engines();
@@ -165,7 +161,7 @@ void TdbServer::PublishGauges() {
     obs::SetGauge((prefix + ".sessions").c_str(),
                   static_cast<double>(engine->active_txns()));
     obs::SetGauge((prefix + ".commits").c_str(),
-                  static_cast<double>(engine->store()->counts().commits));
+                  static_cast<double>(engine->store()->write_commits()));
     obs::SetGauge((prefix + ".queue_depth").c_str(),
                   static_cast<double>(
                       engine->store()->group_commit_queue_depth()));
@@ -178,17 +174,6 @@ void TdbServer::PublishGauges() {
   // ChunkStore::GetStats publishes the chunk gauges (live/used log bytes)
   // as a side effect.
   (void)chunks_->GetStats();
-}
-
-TdbServer::Stats TdbServer::GetStats() const {
-  Stats stats;
-  stats.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
-  stats.sessions_rejected = sessions_rejected_.load(std::memory_order_relaxed);
-  stats.idle_timeouts = idle_timeouts_.load(std::memory_order_relaxed);
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  stats.active_sessions = live_sessions_.size();
-  return stats;
 }
 
 void TdbServer::AcceptLoop() {
@@ -205,15 +190,10 @@ void TdbServer::AcceptLoop() {
     bool busy = false;
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
-      if (live_sessions_.size() >= options_.max_sessions) {
-        busy = true;
-        const uint64_t rejected =
-            sessions_rejected_.fetch_add(1, std::memory_order_relaxed) + 1;
-        obs::SetGauge("server.sessions.rejected",
-                      static_cast<double>(rejected));
-      }
+      busy = live_sessions_.size() >= options_.max_sessions;
     }
     if (busy) {
+      obs::Count("server.sessions.rejected");
       // Backpressure: answer the session's first request with a busy status
       // before any worker is committed to it.
       (void)conn->Send(
@@ -250,10 +230,8 @@ void TdbServer::ServeSession(std::shared_ptr<net::Connection> conn) {
     live_sessions_[session.id] = conn.get();
     obs::SetGauge("server.sessions.active",
                   static_cast<double>(live_sessions_.size()));
-    const uint64_t opened =
-        sessions_opened_.fetch_add(1, std::memory_order_relaxed) + 1;
-    obs::SetGauge("server.sessions.opened", static_cast<double>(opened));
   }
+  obs::Count("server.sessions.opened");
   session.last_activity = std::chrono::steady_clock::now();
 
   const auto poll = std::min(options_.idle_timeout, kRecvPollInterval);
@@ -269,7 +247,6 @@ void TdbServer::ServeSession(std::shared_ptr<net::Connection> conn) {
       }
       if (std::chrono::steady_clock::now() - session.last_activity >=
           options_.idle_timeout) {
-        idle_timeouts_.fetch_add(1, std::memory_order_relaxed);
         obs::Count("server.idle_timeouts");
         break;  // the epilogue below aborts the transaction, freeing locks
       }
@@ -294,7 +271,6 @@ void TdbServer::ServeSession(std::shared_ptr<net::Connection> conn) {
     op_us.reserve(requests->size());
     auto op_start = recv_end;
     for (const Request& request : *requests) {
-      requests_.fetch_add(1, std::memory_order_relaxed);
       obs::Count("server.requests");
       responses.push_back(Handle(session, request));
       const auto op_end = std::chrono::steady_clock::now();
@@ -551,7 +527,7 @@ Response TdbServer::HandleAdmin(const Request& request) {
       if (!status.ok()) {
         return ResponseFromStatus(status);
       }
-      if (!engine->WaitDrained(options_.drain_timeout)) {
+      if (!engine->WaitDrained(kDrainTimeout)) {
         (void)engine->ResumeServing();
         return ResponseFromStatus(TimeoutError(
             "partition " + std::to_string(pid) +

@@ -56,10 +56,9 @@ namespace tdb::server {
 
 struct TdbServerOptions {
   // Concurrent sessions admitted; further connections get a busy response.
+  // The pool has this many workers: each live session occupies one for its
+  // lifetime.
   size_t max_sessions = 64;
-  // Worker threads servicing sessions; 0 sizes the pool to max_sessions
-  // (each live session occupies one worker for its lifetime).
-  size_t worker_threads = 0;
   // A session idle longer than this has its transaction aborted and its
   // connection closed.
   std::chrono::milliseconds idle_timeout{30000};
@@ -78,10 +77,6 @@ struct TdbServerOptions {
   bool group_commit = true;
   std::chrono::milliseconds lock_timeout{500};
   size_t cache_capacity = 4096;
-
-  // How long a hand-off cut-over waits for in-flight transactions to drain
-  // before giving up (the partition resumes serving on timeout).
-  std::chrono::milliseconds drain_timeout{5000};
 
   // Cipher/hash/key for partitions created via kPartitionCreate. The create
   // op is refused while the key is empty.
@@ -127,15 +122,6 @@ class TdbServer {
 
   shard::EngineRegistry* engines() { return &engines_; }
   shard::PartitionDirectory* directory() { return directory_; }
-
-  struct Stats {
-    uint64_t sessions_opened = 0;
-    uint64_t sessions_rejected = 0;
-    uint64_t idle_timeouts = 0;
-    uint64_t requests = 0;
-    size_t active_sessions = 0;
-  };
-  Stats GetStats() const;
 
  private:
   // One live connection's server-side state. Lives on its worker's stack.
@@ -183,7 +169,7 @@ class TdbServer {
   bool started_ = false;
 
   // Live sessions' connections, so Stop can unblock their Recv calls.
-  mutable std::mutex sessions_mu_;
+  std::mutex sessions_mu_;
   std::map<uint64_t, net::Connection*> live_sessions_;
   uint64_t next_session_id_ = 1;
 
@@ -194,11 +180,6 @@ class TdbServer {
   std::mutex handoff_mu_;
   std::map<PartitionId, std::vector<PartitionId>> handoff_snapshots_;
   std::map<PartitionId, Bytes> staged_imports_;
-
-  std::atomic<uint64_t> sessions_opened_{0};
-  std::atomic<uint64_t> sessions_rejected_{0};
-  std::atomic<uint64_t> idle_timeouts_{0};
-  std::atomic<uint64_t> requests_{0};
 };
 
 }  // namespace tdb::server

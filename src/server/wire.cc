@@ -24,12 +24,10 @@ Status CheckHeader(PickleReader& r, const char* what) {
 }
 
 // A frame's item count: at least one, at most kMaxFrameRequests, and no
-// more than the bytes left (every item takes at least four), so a hostile
-// count cannot force a large allocation.
+// more than the bytes left hold (every item takes at least four).
 Result<uint64_t> ReadCount(PickleReader& r, const char* what) {
-  uint64_t count = r.ReadVarint();
-  if (!r.ok() || count == 0 || count > kMaxFrameRequests ||
-      count > r.remaining() / 4) {
+  uint64_t count = r.ReadCount(4);
+  if (!r.ok() || count == 0 || count > kMaxFrameRequests) {
     return CorruptionError(std::string("bad item count in ") + what);
   }
   return count;
@@ -40,12 +38,11 @@ Result<uint64_t> ReadCount(PickleReader& r, const char* what) {
 // each) a hostile payload can make UnpickleSnapshot allocate to 20 MiB.
 constexpr uint64_t kMaxSnapshotHistograms = 4096;
 
-// A snapshot section's element count: no more than the bytes left can hold
-// at `min_bytes` per element, so a hostile count cannot force a large
-// allocation.
+// A snapshot section's element count: no more than the bytes left hold at
+// `min_bytes` per element.
 Result<uint64_t> ReadSectionCount(PickleReader& r, size_t min_bytes) {
-  uint64_t count = r.ReadVarint();
-  if (!r.ok() || count > r.remaining() / min_bytes) {
+  uint64_t count = r.ReadCount(min_bytes);
+  if (!r.ok()) {
     return CorruptionError("bad element count in stats snapshot");
   }
   return count;
@@ -227,15 +224,8 @@ Status StatusFromResponse(const Response& response) {
 
 Bytes PickleSnapshot(const obs::StatsSnapshot& s) {
   PickleWriter w;
-  w.WriteBool(s.profiler_enabled);
   w.WriteBool(s.metrics_enabled);
   w.WriteBool(s.trace_enabled);
-  w.WriteVarint(s.modules.size());
-  for (const Profiler::Entry& m : s.modules) {
-    w.WriteString(m.module);
-    WriteDouble(w, m.total_us);
-    w.WriteVarint(m.calls);
-  }
   auto write_double = [&w](double v) { WriteDouble(w, v); };
   WriteSection(w, s.counters, [&w](uint64_t n) { w.WriteVarint(n); });
   WriteSection(w, s.gauges, write_double);
@@ -289,18 +279,10 @@ Bytes PickleSnapshot(const obs::StatsSnapshot& s) {
 Result<obs::StatsSnapshot> UnpickleSnapshot(ByteView data) {
   PickleReader r(data);
   obs::StatsSnapshot s;
-  s.profiler_enabled = r.ReadBool();
   s.metrics_enabled = r.ReadBool();
   s.trace_enabled = r.ReadBool();
   // Each count's minimum element size: one byte per length prefix and
   // varint, eight per double.
-  TDB_ASSIGN_OR_RETURN(uint64_t modules, ReadSectionCount(r, 10));
-  s.modules.resize(modules);
-  for (Profiler::Entry& m : s.modules) {
-    m.module = r.ReadString();
-    m.total_us = ReadDouble(r);
-    m.calls = r.ReadVarint();
-  }
   auto read_double = [&r] { return ReadDouble(r); };
   TDB_RETURN_IF_ERROR(
       ReadSection(r, 2, s.counters, [&r] { return r.ReadVarint(); }));

@@ -38,9 +38,11 @@ inline constexpr uint8_t kWireMagic = 0xDB;
 // the directory/hand-off op family; version 3 made a frame carry a count
 // and then that many requests (or responses); version 4 kept the frame
 // layout and made kStats answer with a pickled snapshot (PickleSnapshot)
-// instead of JSON text. Decoding rejects any other version: an older peer
-// gets a clear kUnimplemented status, never a misparsed frame or payload.
-inline constexpr uint8_t kWireVersion = 4;
+// instead of JSON text; version 5 dropped the snapshot's profiler flag and
+// module list (module self time travels as module.* histograms). Decoding
+// rejects any other version: an older peer gets a clear kUnimplemented
+// status, never a misparsed frame or payload.
+inline constexpr uint8_t kWireVersion = 5;
 
 // Most requests (or responses) one frame may carry. TdbClient's pending
 // bound keeps its frames far below it (client.cc); the cap keeps one
@@ -65,7 +67,7 @@ enum class Op : uint8_t {
   // server gauges refreshed first) in the response object, pickled by
   // PickleSnapshot. Allowed outside a transaction.
   kStats = 11,
-  // Resets the server's metrics/profiler/trace state. Allowed outside a
+  // Resets the server's metrics and trace state. Allowed outside a
   // transaction.
   kStatsReset = 12,
 

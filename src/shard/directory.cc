@@ -52,9 +52,9 @@ Bytes PickleEntryList(const std::vector<PartitionEntry>& entries) {
 
 Result<std::vector<PartitionEntry>> UnpickleEntryList(ByteView data) {
   PickleReader r(data);
-  uint64_t count = r.ReadVarint();
   // One byte at least for each of an entry's five fields.
-  if (!r.ok() || count > r.remaining() / 5) {
+  uint64_t count = r.ReadCount(5);
+  if (!r.ok()) {
     return CorruptionError("bad partition entry count");
   }
   std::vector<PartitionEntry> entries(count);

@@ -59,7 +59,7 @@ Result<BTree::Node> BTree::Deserialize(ByteView data) {
   if (type == 1) {
     node.is_leaf = true;
     node.leaf.next_leaf = r.ReadU32();
-    uint64_t n = r.ReadVarint();
+    uint64_t n = r.ReadCount(2);  // a length-prefixed key and value
     TDB_RETURN_IF_ERROR(r.Check());
     node.leaf.entries.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
@@ -69,7 +69,7 @@ Result<BTree::Node> BTree::Deserialize(ByteView data) {
     }
   } else if (type == 2) {
     node.is_leaf = false;
-    uint64_t n = r.ReadVarint();
+    uint64_t n = r.ReadCount(5);  // a length-prefixed key and a child page
     TDB_RETURN_IF_ERROR(r.Check());
     node.interior.keys.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {

@@ -88,20 +88,17 @@ void Pager::InsertClean(uint32_t page_no, Bytes data) {
 Result<Bytes> Pager::Read(uint32_t page_no) {
   auto dirty_it = dirty_.find(page_no);
   if (dirty_it != dirty_.end()) {
-    ++hits_;
     obs::Count("xdb.page_cache_hits");
     obs::TraceEmit(obs::TraceKind::kCacheHit, "xdb_pager", page_no);
     return dirty_it->second;
   }
   auto it = cache_.find(page_no);
   if (it != cache_.end()) {
-    ++hits_;
     obs::Count("xdb.page_cache_hits");
     obs::TraceEmit(obs::TraceKind::kCacheHit, "xdb_pager", page_no);
     Touch(page_no);
     return it->second.data;
   }
-  ++misses_;
   obs::Count("xdb.page_cache_misses");
   obs::TraceEmit(obs::TraceKind::kCacheMiss, "xdb_pager", page_no);
   TDB_ASSIGN_OR_RETURN(Bytes data, file_->ReadPage(page_no));

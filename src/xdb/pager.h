@@ -108,9 +108,6 @@ class Pager {
   // Discards all cached state (transaction abort / crash simulation).
   void DropCache();
 
-  uint64_t cache_hits() const { return hits_; }
-  uint64_t cache_misses() const { return misses_; }
-
  private:
   void Touch(uint32_t page_no);
   void InsertClean(uint32_t page_no, Bytes data);
@@ -125,8 +122,6 @@ class Pager {
   std::list<uint32_t> lru_;
   std::unordered_map<uint32_t, Bytes> dirty_;  // pinned until flush
   std::vector<uint32_t> free_pages_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace tdb

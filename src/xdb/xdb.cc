@@ -43,7 +43,7 @@ Status Xdb::LoadHeader() {
   if (r.ReadU32() != kXdbMagic) {
     return CorruptionError("not an XDB database");
   }
-  uint64_t num_roots = r.ReadVarint();
+  uint64_t num_roots = r.ReadCount(5);  // a length-prefixed name and a page
   TDB_RETURN_IF_ERROR(r.Check());
   roots_.clear();
   for (uint64_t i = 0; i < num_roots; ++i) {
@@ -51,7 +51,7 @@ Status Xdb::LoadHeader() {
     uint32_t root = r.ReadU32();
     roots_[name] = root;
   }
-  uint64_t num_free = r.ReadVarint();
+  uint64_t num_free = r.ReadCount(4);
   TDB_RETURN_IF_ERROR(r.Check());
   std::vector<uint32_t> free_pages;
   for (uint64_t i = 0; i < num_free; ++i) {
@@ -158,8 +158,6 @@ Status Xdb::Commit() {
   }
   // 1. Make the redo log durable.
   TDB_RETURN_IF_ERROR(wal_.LogCommit(dirty));
-  stats_.pages_logged += dirty.size();
-  ++stats_.commits;
   if (options_.simulate_crash_after_log) {
     // Test hook: the data pages never reach the device; Open() must recover
     // them from the log.

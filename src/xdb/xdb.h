@@ -57,13 +57,6 @@ class Xdb {
   // Truncates the WAL once the data file is known durable.
   Status Checkpoint() { return wal_.Checkpoint(); }
 
-  struct Stats {
-    uint64_t commits = 0;
-    uint64_t pages_logged = 0;
-    uint64_t log_bytes = 0;
-  };
-  Stats stats() const { return stats_; }
-
   void set_simulate_crash_after_log(bool v) {
     options_.simulate_crash_after_log = v;
   }
@@ -82,7 +75,6 @@ class Xdb {
   Wal wal_;
   std::map<std::string, uint32_t> roots_;
   bool header_dirty_ = false;
-  Stats stats_;
 };
 
 }  // namespace tdb

@@ -222,36 +222,37 @@ TEST(LinearRegressionTest, SingularSystemReturnsEmpty) {
   EXPECT_TRUE(reg.Solve().empty());
 }
 
+// ProfileScope observes self time into the registry's module.* histograms,
+// and Profiler reads them back as Figure-12 rows.
 TEST(ProfilerTest, NestedScopesExcludeChildren) {
   // Wall-clock comparison, so a preemption mid-loop (common when the whole
   // suite runs in parallel) can inflate one side arbitrarily. Retry a few
   // times; the exclusion property only has to hold on an undisturbed run.
-  Profiler& p = Profiler::Instance();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
   double outer_us = 0, inner_us = 0;
   for (int attempt = 0; attempt < 5; ++attempt) {
-    p.Reset();
-    p.Enable();
+    registry.Reset();
+    registry.Enable();
     {
-      ProfileScope outer("outer_module");
+      ProfileScope outer("module.outer");
       volatile double sink = 0;
       for (int i = 0; i < 100000; ++i) {
         sink += std::sqrt(static_cast<double>(i));
       }
       {
-        ProfileScope inner("inner_module");
+        ProfileScope inner("module.inner");
         for (int i = 0; i < 100000; ++i) {
           sink += std::sqrt(static_cast<double>(i));
         }
       }
     }
-    p.Disable();
-    auto snapshot = p.Snapshot();
+    registry.Disable();
     outer_us = 0;
     inner_us = 0;
-    for (const auto& e : snapshot) {
-      if (e.module == "outer_module") {
+    for (const auto& e : Profiler::Instance().Snapshot()) {
+      if (e.module == "outer") {
         outer_us = e.total_us;
-      } else if (e.module == "inner_module") {
+      } else if (e.module == "inner") {
         inner_us = e.total_us;
       }
     }
@@ -267,14 +268,14 @@ TEST(ProfilerTest, NestedScopesExcludeChildren) {
 }
 
 TEST(ProfilerTest, SamplesFromWorkerThreadsMergeIntoSnapshot) {
-  Profiler& p = Profiler::Instance();
-  p.Reset();
-  p.Enable();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  registry.Reset();
+  registry.Enable();
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([] {
       for (int call = 0; call < 16; ++call) {
-        ProfileScope scope("worker_module");
+        ProfileScope scope("module.worker");
         volatile double sink = 0;
         for (int i = 0; i < 10000; ++i) {
           sink = sink + static_cast<double>(i) * 0.5;
@@ -285,11 +286,10 @@ TEST(ProfilerTest, SamplesFromWorkerThreadsMergeIntoSnapshot) {
   for (std::thread& w : workers) {
     w.join();
   }
-  p.Disable();
-  auto snapshot = p.Snapshot();
+  registry.Disable();
   bool found = false;
-  for (const auto& e : snapshot) {
-    if (e.module == "worker_module") {
+  for (const auto& e : Profiler::Modules(registry.Histograms())) {
+    if (e.module == "worker") {
       found = true;
       EXPECT_EQ(e.calls, 64u);
       EXPECT_GT(e.total_us, 0.0);

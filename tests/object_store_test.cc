@@ -219,20 +219,37 @@ TEST_F(ObjectStoreTest, SurvivesRestart) {
   EXPECT_EQ(AsAccount(*account).balance, 77);
 }
 
-TEST_F(ObjectStoreTest, CountsMatchFigure10Shape) {
-  objects_->ResetCounts();
+// write_commits() (the partition's data version, and the server's
+// shard.partition.<id>.commits gauge) counts only the transactions that
+// committed a write.
+TEST_F(ObjectStoreTest, WriteCommitsCountOnlyTransactionsThatWrote) {
+  const uint64_t before = objects_->write_commits();
   auto txn = objects_->Begin();
   ObjectId id = *txn->Insert(std::make_shared<Account>("x", 1));
   ASSERT_TRUE(txn->Commit().ok());
-  auto txn2 = objects_->Begin();
-  ASSERT_TRUE(txn2->Get(id).ok());
-  ASSERT_TRUE(txn2->Put(id, std::make_shared<Account>("x", 2)).ok());
-  ASSERT_TRUE(txn2->Commit().ok());
-  ObjectStore::OpCounts counts = objects_->counts();
-  EXPECT_EQ(counts.adds, 1u);
-  EXPECT_GE(counts.reads, 1u);
-  EXPECT_EQ(counts.updates, 1u);
-  EXPECT_EQ(counts.commits, 2u);
+  EXPECT_EQ(objects_->write_commits(), before + 1);
+
+  auto reader = objects_->Begin();
+  ASSERT_TRUE(reader->Get(id).ok());
+  ASSERT_TRUE(reader->Commit().ok());
+  auto snapshot = objects_->BeginReadOnly();
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_TRUE((*snapshot)->Get(id).ok());
+  ASSERT_TRUE((*snapshot)->Commit().ok());
+  auto aborted = objects_->Begin();
+  ASSERT_TRUE(aborted->Put(id, std::make_shared<Account>("x", 3)).ok());
+  aborted->Abort();
+  auto undone = objects_->Begin();
+  ObjectId discarded = *undone->Insert(std::make_shared<Account>("y", 1));
+  ASSERT_TRUE(undone->Delete(discarded).ok());
+  ASSERT_TRUE(undone->Commit().ok());  // nothing left to write
+  EXPECT_EQ(objects_->write_commits(), before + 1);
+
+  auto writer = objects_->Begin();
+  ASSERT_TRUE(writer->Get(id).ok());
+  ASSERT_TRUE(writer->Put(id, std::make_shared<Account>("x", 2)).ok());
+  ASSERT_TRUE(writer->Commit().ok());
+  EXPECT_EQ(objects_->write_commits(), before + 2);
 }
 
 TEST_F(ObjectStoreTest, FinishedTransactionRejectsFurtherOps) {

@@ -20,9 +20,13 @@
 #include "src/chunk/descriptor.h"
 #include "src/chunk/log_format.h"
 #include "src/chunk/log_manager.h"
+#include "src/collect/index.h"
+#include "src/collect/object_btree.h"
 #include "src/common/pickle.h"
 #include "src/common/rng.h"
 #include "src/crypto/suite.h"
+#include "src/object/pickler.h"
+#include "src/server/blob.h"
 #include "src/server/wire.h"
 #include "src/shard/directory.h"
 
@@ -86,6 +90,16 @@ Status ParseRequests(ByteView data) {
 Status ParseResponses(ByteView data) {
   return server::DecodeResponses(data).status();
 }
+// A client's Put as the server unpickles it: a type tag, then the object's
+// fields.
+Status ParseBlobValue(ByteView data) {
+  static const TypeRegistry* const registry = [] {
+    auto* r = new TypeRegistry;
+    (void)RegisterType<server::BlobValue>(*r);
+    return r;
+  }();
+  return registry->Unpickle(data).status();
+}
 
 struct NamedParser {
   const char* name;
@@ -107,6 +121,7 @@ const NamedParser kParsers[] = {
     {"PartitionEntryList", ParseEntryList},
     {"RequestFrame", ParseRequests},
     {"ResponseFrame", ParseResponses},
+    {"BlobValue", ParseBlobValue},
 };
 
 // ---- Valid exemplars for the bit-flip neighborhood ----
@@ -202,7 +217,6 @@ Bytes ValidBackupDescriptorBytes() {
 Bytes ValidStatsSnapshotBytes() {
   obs::StatsSnapshot s;
   s.metrics_enabled = true;
-  s.modules = {{"chunk_store", 812.5, 40}};
   s.counters = {{"chunk.commits", 40}, {"server.requests", 123}};
   s.gauges = {{"chunk.live_log_bytes", 4096.0}};
   obs::MetricsRegistry::HistogramSnapshot h;
@@ -282,6 +296,9 @@ Bytes ValidExemplar(const std::string& name) {
   if (name == "PartitionEntryList") return ValidEntryListBytes();
   if (name == "RequestFrame") return ValidRequestFrameBytes();
   if (name == "ResponseFrame") return ValidResponseFrameBytes();
+  if (name == "BlobValue") {
+    return TypeRegistry().Pickle(server::BlobValue("a client's value"));
+  }
   ADD_FAILURE() << "no exemplar for " << name;
   return {};
 }
@@ -395,19 +412,18 @@ TEST(ParserFuzzTest, LengthBombsFailCleanlyInsteadOfAllocating) {
     EXPECT_FALSE(s.ok());
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
   }
-  // A stats snapshot with a 2^60-entry module list, and one with a
+  // A stats snapshot with a 2^60-entry counter section, and one with a
   // histogram claiming 2^60 nonzero buckets.
   {
     PickleWriter w;
-    w.WriteRaw(Bytes{1, 1, 1});        // enabled flags
-    w.WriteVarint(uint64_t{1} << 60);  // modules
+    w.WriteRaw(Bytes{1, 1});           // enabled flags
+    w.WriteVarint(uint64_t{1} << 60);  // counters
     Status s = ParseStatsSnapshot(w.data());
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
   }
   {
     PickleWriter w;
-    w.WriteRaw(Bytes{1, 1, 1});        // enabled flags
-    w.WriteVarint(0);                  // modules
+    w.WriteRaw(Bytes{1, 1});           // enabled flags
     w.WriteVarint(0);                  // counters
     w.WriteVarint(0);                  // gauges
     w.WriteVarint(1);                  // histograms
@@ -425,6 +441,61 @@ TEST(ParserFuzzTest, LengthBombsFailCleanlyInsteadOfAllocating) {
     w.WriteVarint(uint64_t{1} << 60);
     Status s = ParseEntryList(w.data());
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
+  }
+  // Deallocate and cleaner records whose counts are 2^60.
+  {
+    PickleWriter w;
+    w.WriteVarint(uint64_t{1} << 60);  // chunks
+    EXPECT_EQ(ParseDeallocate(w.data()).code(), StatusCode::kCorruption);
+    EXPECT_EQ(ParseCleaner(w.data()).code(), StatusCode::kCorruption);
+  }
+  // The collection objects as a store reads them back: a count of 2^60
+  // elements used to reach vector::reserve (b-tree nodes, indexes,
+  // collections) or loop that many times (directories).
+  const uint64_t bomb = uint64_t{1} << 60;
+  auto parse = [](Result<ObjectPtr> (*unpickle)(PickleReader&),
+                  const PickleWriter& w) {
+    PickleReader r(w.data());
+    return unpickle(r).status();
+  };
+  for (bool leaf : {true, false}) {
+    PickleWriter w;
+    w.WriteBool(leaf);
+    w.WriteVarint(bomb);  // entries or separators
+    EXPECT_EQ(parse(&BTreeNodeObject::UnpickleFields, w).code(),
+              StatusCode::kCorruption)
+        << "leaf " << leaf;
+  }
+  {
+    PickleWriter w;
+    w.WriteString("by_name");
+    w.WriteString("name");
+    w.WriteBool(true);  // sorted
+    w.WriteU64(0);      // btree_root
+    w.WriteVarint(bomb);
+    EXPECT_EQ(parse(&IndexObject::UnpickleFields, w).code(),
+              StatusCode::kCorruption);
+  }
+  {
+    PickleWriter w;
+    w.WriteString("people");
+    w.WriteVarint(bomb);  // members
+    EXPECT_EQ(parse(&CollectionObject::UnpickleFields, w).code(),
+              StatusCode::kCorruption);
+  }
+  {
+    PickleWriter w;
+    w.WriteString("people");
+    w.WriteVarint(0);     // members
+    w.WriteVarint(bomb);  // indexes
+    EXPECT_EQ(parse(&CollectionObject::UnpickleFields, w).code(),
+              StatusCode::kCorruption);
+  }
+  {
+    PickleWriter w;
+    w.WriteVarint(bomb);  // collections
+    EXPECT_EQ(parse(&DirectoryObject::UnpickleFields, w).code(),
+              StatusCode::kCorruption);
   }
 }
 

@@ -1,5 +1,5 @@
 // Stats accuracy (the numbers behind Figure 12 and the cleaning overhead u
-// must be trustworthy): ChunkStore::Stats byte counters reconcile against
+// must be trustworthy): the registry's chunk byte counters reconcile against
 // the actual bytes the untrusted store received, across commit, checkpoint,
 // and cleaning; cache hit/miss counters sum to the number of accesses in
 // eviction-heavy workloads.
@@ -59,9 +59,13 @@ class StatsAccuracyTest : public ::testing::Test {
 
 // Every byte the untrusted store's segments receive flows through the log
 // (the superblock has its own write path and its own counter), so
-// log_bytes_appended must equal the store's own byte count exactly — after
-// plain commits, after a checkpoint, and after cleaning rewrites live data.
+// chunk.log_bytes_appended must equal the store's own byte count exactly —
+// after plain commits, after a checkpoint, and after cleaning rewrites live
+// data.
 TEST_F(StatsAccuracyTest, LogBytesReconcileAgainstUntrustedStore) {
+  auto counter = [](const char* name) {
+    return obs::MetricsRegistry::Instance().GetCounter(name);
+  };
   Rig rig;
   Rng rng(3);
   std::vector<ChunkId> ids;
@@ -82,25 +86,18 @@ TEST_F(StatsAccuracyTest, LogBytesReconcileAgainstUntrustedStore) {
   }
 
   ChunkStore::Stats stats = rig.chunks->GetStats();
-  EXPECT_EQ(stats.log_bytes_appended, rig.store.bytes_written());
-  // The registry counter tracks the same quantity.
-  EXPECT_EQ(obs::MetricsRegistry::Instance().GetCounter(
-                "chunk.log_bytes_appended"),
-            stats.log_bytes_appended);
+  EXPECT_EQ(counter("chunk.log_bytes_appended"), rig.store.bytes_written());
   // Committed plaintext: every data payload, no more than the log grew by
   // (the log adds headers, hashes, and cipher padding on top).
-  EXPECT_GE(stats.bytes_committed, payload_bytes);
-  EXPECT_LT(stats.bytes_committed, stats.log_bytes_appended);
-  EXPECT_EQ(obs::MetricsRegistry::Instance().GetCounter(
-                "chunk.bytes_committed"),
-            stats.bytes_committed);
+  EXPECT_GE(counter("chunk.bytes_committed"), payload_bytes);
+  EXPECT_LT(counter("chunk.bytes_committed"),
+            counter("chunk.log_bytes_appended"));
   // Nothing reclaimed yet: the log never shrinks without cleaning.
   EXPECT_LE(stats.live_log_bytes, stats.used_log_bytes);
-  EXPECT_LE(stats.used_log_bytes, stats.log_bytes_appended);
+  EXPECT_LE(stats.used_log_bytes, counter("chunk.log_bytes_appended"));
 
   ASSERT_TRUE(rig.chunks->Checkpoint().ok());
-  stats = rig.chunks->GetStats();
-  EXPECT_EQ(stats.log_bytes_appended, rig.store.bytes_written());
+  EXPECT_EQ(counter("chunk.log_bytes_appended"), rig.store.bytes_written());
 
   // Churn the same chunks so early segments go mostly dead, then clean.
   for (int round = 0; round < 6; ++round) {
@@ -117,20 +114,18 @@ TEST_F(StatsAccuracyTest, LogBytesReconcileAgainstUntrustedStore) {
 
   stats = rig.chunks->GetStats();
   // The cleaner's rewrites are log appends too, so the identity still holds.
-  EXPECT_EQ(stats.log_bytes_appended, rig.store.bytes_written());
+  EXPECT_EQ(counter("chunk.log_bytes_appended"), rig.store.bytes_written());
   // Cleaning freed segments: the used log is now strictly smaller than
   // everything ever appended.
-  EXPECT_LT(stats.used_log_bytes, stats.log_bytes_appended);
+  EXPECT_LT(stats.used_log_bytes, counter("chunk.log_bytes_appended"));
   EXPECT_LE(stats.live_log_bytes, stats.used_log_bytes);
   // The cleaning overhead numerator is exactly what the cleaner rewrote.
-  EXPECT_GT(obs::MetricsRegistry::Instance().GetCounter(
-                "cleaner.bytes_rewritten"),
-            0u);
+  EXPECT_GT(counter("cleaner.bytes_rewritten"), 0u);
 }
 
 // The XDB page cache: every Read is exactly one hit or one miss, even when
 // the working set is much larger than the cache and eviction runs
-// constantly. The registry counters must agree with the pager's own.
+// constantly.
 TEST_F(StatsAccuracyTest, PagerHitsPlusMissesEqualsReads) {
   MemPageFile file(512);
   ASSERT_TRUE(file.Extend(64).ok());
@@ -162,8 +157,6 @@ TEST_F(StatsAccuracyTest, PagerHitsPlusMissesEqualsReads) {
       obs::MetricsRegistry::Instance().GetCounter("xdb.page_cache_misses") -
       misses_before;
   EXPECT_EQ(hits + misses, reads);
-  EXPECT_EQ(hits, pager.cache_hits());
-  EXPECT_EQ(misses, pager.cache_misses());
   EXPECT_GT(hits, 0u);
   EXPECT_GT(misses, 0u);
 }
@@ -203,8 +196,6 @@ TEST_F(StatsAccuracyTest, TrustedPagerTouchesAreFullyAccounted) {
   EXPECT_GT(counter("paging.faults"), 0u);
   EXPECT_GT(counter("paging.page_hits"), 0u);
   EXPECT_GT(counter("paging.zero_fills"), 0u);
-  TrustedPager::Stats stats = (*pager)->stats();
-  EXPECT_EQ(stats.faults, counter("paging.faults"));
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // The TSan audit for satellite concurrency (carries the `tsan` label):
-// ChunkStore's monotonic stat cells are atomics and GetStats reads them
-// without taking the store mutex, so stats readers, metrics snapshots, and
-// committing threads may all run concurrently. Under TSAN this test fails
-// on any racy counter; under a normal build it checks that concurrent reads
-// never tear or go backwards and that the final counts are exact.
+// committing threads count into the metrics registry while a reader polls
+// ChunkStore::GetStats and the registry's counters and another merges
+// snapshots. Under TSAN this test fails on any racy counter; under a normal
+// build it checks that concurrent reads never go backwards and that the
+// final counts are exact.
 
 #include <gtest/gtest.h>
 
@@ -51,7 +51,7 @@ TEST(StatsRaceTest, ConcurrentCommitsStatsAndSnapshots) {
   constexpr int kChunksPerCommit = 8;
   std::atomic<bool> done{false};
 
-  // Committers drive the commit path and the stat cells.
+  // Committers drive the commit path and its counters.
   std::vector<std::thread> committers;
   for (int t = 0; t < kCommitters; ++t) {
     committers.emplace_back([&, t] {
@@ -68,18 +68,24 @@ TEST(StatsRaceTest, ConcurrentCommitsStatsAndSnapshots) {
     });
   }
 
-  // A stats reader hammering GetStats: monotonic counters must never go
-  // backwards (a torn or racy read would).
+  // A stats reader hammering GetStats and the counters: a counter must
+  // never go backwards (a torn or racy read would).
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
   std::thread stats_reader([&] {
     uint64_t last_commits = 0;
     uint64_t last_appended = 0;
     while (!done.load(std::memory_order_acquire)) {
       ChunkStore::Stats s = chunks.GetStats();
-      EXPECT_GE(s.commits, last_commits);
-      EXPECT_GE(s.log_bytes_appended, last_appended);
-      EXPECT_GE(s.log_bytes_appended, s.bytes_committed);
-      last_commits = s.commits;
-      last_appended = s.log_bytes_appended;
+      EXPECT_LE(s.live_log_bytes, s.used_log_bytes);
+      const uint64_t committed = registry.GetCounter("chunk.bytes_committed");
+      const uint64_t commits = registry.GetCounter("chunk.commits");
+      const uint64_t appended =
+          registry.GetCounter("chunk.log_bytes_appended");
+      EXPECT_GE(commits, last_commits);
+      EXPECT_GE(appended, last_appended);
+      EXPECT_GE(appended, committed);
+      last_commits = commits;
+      last_appended = appended;
     }
   });
 
@@ -99,15 +105,13 @@ TEST(StatsRaceTest, ConcurrentCommitsStatsAndSnapshots) {
   snapshot_reader.join();
 
   // Exactness: nothing was lost to races.
-  ChunkStore::Stats s = chunks.GetStats();
   constexpr uint64_t kExpectedCommits = 1 + kCommitters * kCommitsPerThread;
-  EXPECT_EQ(s.commits, kExpectedCommits);
-  EXPECT_EQ(s.chunks_written,
+  EXPECT_EQ(registry.GetCounter("chunk.commits"), kExpectedCommits);
+  EXPECT_EQ(registry.GetCounter("chunk.chunks_written"),
             static_cast<uint64_t>(kCommitters) * kCommitsPerThread *
                 kChunksPerCommit);
-  EXPECT_EQ(obs::MetricsRegistry::Instance().GetCounter("chunk.commits"),
-            kExpectedCommits);
-  EXPECT_EQ(s.log_bytes_appended, store.bytes_written());
+  EXPECT_EQ(registry.GetCounter("chunk.log_bytes_appended"),
+            store.bytes_written());
 
   obs::DisableAll();
   obs::ResetAll();

@@ -7,6 +7,7 @@
 #include "src/paging/trusted_pager.h"
 #include "src/platform/trusted_store.h"
 #include "src/store/untrusted_store.h"
+#include "tests/metrics_test_util.h"
 
 namespace tdb {
 namespace {
@@ -68,6 +69,7 @@ TEST_F(TrustedPagerTest, CrossPageAccess) {
 }
 
 TEST_F(TrustedPagerTest, EvictionAndFaultInPreserveContents) {
+  ScopedMetrics metrics;
   auto pager = MakePager(/*resident_pages=*/3, /*page_size=*/128);
   // Touch many more pages than fit in trusted memory.
   for (uint64_t page = 0; page < 20; ++page) {
@@ -75,29 +77,31 @@ TEST_F(TrustedPagerTest, EvictionAndFaultInPreserveContents) {
     ASSERT_TRUE(pager->Write(page * 128, data).ok());
   }
   EXPECT_LE(pager->resident_count(), 3u);
-  EXPECT_GT(pager->stats().evictions, 0u);
-  EXPECT_GT(pager->stats().writebacks, 0u);
+  EXPECT_GT(metrics.Counter("paging.evictions"), 0u);
+  EXPECT_GT(metrics.Counter("paging.writebacks"), 0u);
   // Everything reads back (faulting pages in from the chunk store).
   for (uint64_t page = 0; page < 20; ++page) {
     auto data = pager->Read(page * 128, 128);
     ASSERT_TRUE(data.ok()) << "page " << page;
     EXPECT_EQ(*data, Bytes(128, static_cast<uint8_t>(page + 1)));
   }
-  EXPECT_GT(pager->stats().faults, 0u);
+  EXPECT_GT(metrics.Counter("paging.faults"), 0u);
 }
 
 TEST_F(TrustedPagerTest, CleanPagesEvictWithoutWriteback) {
+  ScopedMetrics metrics;
   auto pager = MakePager(/*resident_pages=*/2, /*page_size=*/128);
   ASSERT_TRUE(pager->Write(0, Bytes(128, 1)).ok());
   ASSERT_TRUE(pager->FlushAll().ok());
-  uint64_t writebacks_after_flush = pager->stats().writebacks;
+  const uint64_t writebacks_after_flush = metrics.Counter("paging.writebacks");
+  ASSERT_GT(writebacks_after_flush, 0u);
   // Re-read the page repeatedly while touching others: the page is clean,
   // so its evictions must not add writebacks.
   for (uint64_t page = 1; page < 10; ++page) {
     ASSERT_TRUE(pager->Read(page * 128, 1).ok());
     ASSERT_TRUE(pager->Read(0, 1).ok());
   }
-  EXPECT_EQ(pager->stats().writebacks, writebacks_after_flush);
+  EXPECT_EQ(metrics.Counter("paging.writebacks"), writebacks_after_flush);
 }
 
 TEST_F(TrustedPagerTest, TamperWithPagedOutPageDetected) {
