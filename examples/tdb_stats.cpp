@@ -320,7 +320,9 @@ void PrintTails(const obs::StatsSnapshot& s) {
 int Report(const obs::StatsSnapshot& s, const char* json_path) {
   PrintModules(s);
   // Among the counters: the device counts the paper's model multiplies into
-  // its I/O rows (untrusted_store.flushes, tamper_resistant_store.writes).
+  // its I/O rows (untrusted_store.flushes, tamper_resistant_store.writes),
+  // and a server's thread wake-ups on the wire (wire.session.parks, and
+  // wire.client.parks where clients share its process).
   PrintValues("counters", s.counters, "%14.0f");
   PrintValues("gauges", s.gauges, "%14.3f");
   // Cache hit ratios, write amplification, log utilization and the

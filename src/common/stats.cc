@@ -34,9 +34,11 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 LinearRegression::LinearRegression(size_t num_predictors)
     : k_(num_predictors) {}
 
-void LinearRegression::Add(const std::vector<double>& xs, double y) {
+void LinearRegression::Add(const std::vector<double>& xs, double y,
+                           double weight) {
   rows_.push_back(xs);
   ys_.push_back(y);
+  weights_.push_back(weight);
 }
 
 std::vector<double> LinearRegression::Solve() const {
@@ -44,8 +46,9 @@ std::vector<double> LinearRegression::Solve() const {
   if (rows_.size() < m) {
     return {};
   }
-  // Build normal equations A * beta = b where A = X^T X, b = X^T y and the
-  // design matrix X has a leading column of ones.
+  // Build normal equations A * beta = b where A = X^T W X, b = X^T W y, the
+  // design matrix X has a leading column of ones and W is diagonal with the
+  // weights.
   std::vector<std::vector<double>> a(m, std::vector<double>(m, 0.0));
   std::vector<double> b(m, 0.0);
   for (size_t r = 0; r < rows_.size(); ++r) {
@@ -54,11 +57,12 @@ std::vector<double> LinearRegression::Solve() const {
     for (size_t j = 0; j < k_; ++j) {
       x[j + 1] = rows_[r][j];
     }
+    const double w = weights_[r];
     for (size_t i = 0; i < m; ++i) {
       for (size_t j = 0; j < m; ++j) {
-        a[i][j] += x[i] * x[j];
+        a[i][j] += w * x[i] * x[j];
       }
-      b[i] += x[i] * ys_[r];
+      b[i] += w * x[i] * ys_[r];
     }
   }
   // Gaussian elimination with partial pivoting.
@@ -97,10 +101,12 @@ double LinearRegression::RSquared(const std::vector<double>& beta) const {
     return 0.0;
   }
   double mean = 0.0;
-  for (double y : ys_) {
-    mean += y;
+  double weight_sum = 0.0;
+  for (size_t r = 0; r < ys_.size(); ++r) {
+    mean += weights_[r] * ys_[r];
+    weight_sum += weights_[r];
   }
-  mean /= static_cast<double>(ys_.size());
+  mean /= weight_sum;
   double ss_tot = 0.0;
   double ss_res = 0.0;
   for (size_t r = 0; r < rows_.size(); ++r) {
@@ -108,8 +114,8 @@ double LinearRegression::RSquared(const std::vector<double>& beta) const {
     for (size_t j = 0; j < k_; ++j) {
       pred += beta[j + 1] * rows_[r][j];
     }
-    ss_res += (ys_[r] - pred) * (ys_[r] - pred);
-    ss_tot += (ys_[r] - mean) * (ys_[r] - mean);
+    ss_res += weights_[r] * (ys_[r] - pred) * (ys_[r] - pred);
+    ss_tot += weights_[r] * (ys_[r] - mean) * (ys_[r] - mean);
   }
   if (ss_tot == 0.0) {
     return 1.0;

@@ -1,5 +1,5 @@
 // Statistics helpers for the benchmark harness: running mean/σ (Figure 12),
-// and ordinary least squares for the cost models of §9.2.2/§9.2.3, which the
+// and weighted least squares for the cost models of §9.2.2/§9.2.3, which the
 // paper fits by linear regression (e.g. "132 µs + 36 µs per chunk + 0.24 µs
 // per byte").
 
@@ -32,26 +32,32 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-// Ordinary least squares: y ≈ beta0 + beta1*x1 + ... + betak*xk.
-// Solves the normal equations with Gaussian elimination; k is small (≤3).
+// Weighted least squares: y ≈ beta0 + beta1*x1 + ... + betak*xk, minimizing
+// the sum of weight * (y - fit)^2. Solves the normal equations with Gaussian
+// elimination; k is small (≤3). With every weight 1 this is ordinary least
+// squares, where the largest observations decide the fit; a weight of 1/y^2
+// minimizes the squared relative error instead, so a model over
+// observations that span orders of magnitude fits the small ones too.
 class LinearRegression {
  public:
   explicit LinearRegression(size_t num_predictors);
 
-  // xs.size() must equal num_predictors.
-  void Add(const std::vector<double>& xs, double y);
+  // xs.size() must equal num_predictors; weight > 0.
+  void Add(const std::vector<double>& xs, double y, double weight = 1.0);
 
   // Returns {beta0, beta1, ..., betak}; empty if the system is singular or
   // there are fewer observations than coefficients.
   std::vector<double> Solve() const;
 
-  // Coefficient of determination for the solved model (call after Solve()).
+  // Coefficient of determination for the solved model (call after Solve()),
+  // under the same weights as the fit.
   double RSquared(const std::vector<double>& beta) const;
 
  private:
   size_t k_;
   std::vector<std::vector<double>> rows_;  // each row: predictors
   std::vector<double> ys_;
+  std::vector<double> weights_;
 };
 
 }  // namespace tdb

@@ -1,5 +1,7 @@
 #include "src/common/thread_pool.h"
 
+#include <sched.h>
+
 #include <cassert>
 
 namespace tdb {
@@ -7,6 +9,20 @@ namespace tdb {
 size_t HardwareConcurrency() {
   size_t n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
+}
+
+size_t AffinityCpus() {
+  static const size_t cpus = [] {
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+      return static_cast<size_t>(CPU_COUNT(&set));
+    }
+#endif
+    return HardwareConcurrency();
+  }();
+  return cpus;
 }
 
 ThreadPool::ThreadPool(size_t num_workers) {

@@ -1,5 +1,6 @@
 // A small worker pool for blocking tasks: the server runs each live session
-// on one of its workers (src/server/server.h).
+// on one of its workers (src/server/server.h). Beside it, the CPU counts the
+// server and the benchmarks size themselves by.
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
@@ -17,6 +18,12 @@ namespace tdb {
 // The host's hardware thread count, as the benchmarks report it; always at
 // least 1 (std::thread::hardware_concurrency may return 0).
 size_t HardwareConcurrency();
+
+// The CPUs this process may run on: its CPU affinity, counted once at the
+// first call (a process under `taskset -c 0` gets 1), or
+// HardwareConcurrency() where the affinity cannot be read; always at least
+// 1.
+size_t AffinityCpus();
 
 class ThreadPool {
  public:

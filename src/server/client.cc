@@ -1,7 +1,5 @@
 #include "src/server/client.h"
 
-#include <thread>
-
 #include "src/common/bytes.h"
 #include "src/obs/metrics.h"
 
@@ -20,52 +18,6 @@ constexpr size_t kRequestOverheadBytes = 31;
 static_assert(TdbClient::kMaxPendingBytes / kRequestOverheadBytes + 1 <=
               kMaxFrameRequests);
 
-// How long a client polls for the answer to its frame before it parks in
-// Recv. A parked client pays a thread wake-up when the answer comes, and on
-// a VM that is dear: on a 4-vCPU x86-64 VM a condition-variable ping-pong
-// (two wake-ups) took 3.8-28 us per round trip with one pair of threads
-// and 7-21 us with four, over five runs. There the server answers a
-// one-put write frame in 14 us at p50 and about 30 us at p90 (handle +
-// send, ycsb-a-wire, 4 clients), so most answers land inside the budget,
-// and a slower one (a lock wait, a group-commit flush) costs at most the
-// budget in client CPU.
-constexpr std::chrono::microseconds kAnswerPollBudget{40};
-// The poll yields the CPU this often, so a server thread that shares the
-// client's CPU is never kept waiting behind it.
-constexpr std::chrono::microseconds kPollSlice{2};
-
-// A spin-wait hint: on x86 it frees the core's pipeline for a sibling
-// hyperthread; elsewhere the loop spins plainly.
-void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
-}
-
-// Waits for the answer to the frame just sent on `conn`: polls for up to
-// kAnswerPollBudget, then parks in Recv. Only the client polls. It waits
-// for a server that already has its frame, while a server session waits
-// for the client's think time, which can be long.
-Result<Bytes> AwaitAnswer(net::Connection& conn,
-                          std::chrono::milliseconds timeout) {
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  auto slice_end = start + kPollSlice;
-  while (!conn.Readable()) {
-    const auto now = Clock::now();
-    if (now - start >= kAnswerPollBudget) {
-      break;
-    }
-    if (now >= slice_end) {
-      std::this_thread::yield();
-      slice_end = Clock::now() + kPollSlice;
-    } else {
-      CpuRelax();
-    }
-  }
-  return conn.Recv(timeout);
-}
-
 }  // namespace
 
 TdbClient::TdbClient(const TypeRegistry* registry, TdbClientOptions options)
@@ -80,6 +32,7 @@ Status TdbClient::Connect(net::Transport* transport,
   }
   TDB_ASSIGN_OR_RETURN(conn_,
                        transport->Connect(address, options_.connect_timeout));
+  answer_wait_ = FrameWait::ForClient();
   return OkStatus();
 }
 
@@ -114,7 +67,7 @@ Result<Response> TdbClient::SendPending() {
   TDB_RETURN_IF_ERROR(
       conn_->Send(EncodeRequests(requests), options_.request_timeout));
   TDB_ASSIGN_OR_RETURN(Bytes frame,
-                       AwaitAnswer(*conn_, options_.request_timeout));
+                       answer_wait_.Next(*conn_, options_.request_timeout));
   TDB_ASSIGN_OR_RETURN(std::vector<Response> responses,
                        DecodeResponses(frame));
   // The server runs requests until the first failure: every response but

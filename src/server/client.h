@@ -13,8 +13,8 @@
 // and waits for the answer, so a blind write — Begin, Put, Commit — costs
 // one round trip. The wait polls the connection for a few tens of
 // microseconds before it parks, so a prompt answer does not pay a thread
-// wake-up (kAnswerPollBudget in client.cc). Abort of a transaction the
-// server never saw sends nothing. A Put that would grow the queue past
+// wake-up (FrameWait, frame_wait.h). Abort of a transaction the server
+// never saw sends nothing. A Put that would grow the queue past
 // kMaxPendingBytes sends the queue first.
 //
 // The contract that follows: a deferred call's error is reported by the
@@ -44,6 +44,7 @@
 #include "src/chunk/chunk_id.h"
 #include "src/net/transport.h"
 #include "src/object/pickler.h"
+#include "src/server/frame_wait.h"
 #include "src/server/wire.h"
 #include "src/shard/directory.h"
 
@@ -152,6 +153,7 @@ class TdbClient {
   const TypeRegistry* registry_;
   TdbClientOptions options_;
   std::unique_ptr<net::Connection> conn_;
+  FrameWait answer_wait_ = FrameWait::ForClient();  // reset on Connect
   bool in_transaction_ = false;
   // Requests not yet sent (a begin, then puts) and their encoded size.
   std::vector<Request> pending_;

@@ -10,6 +10,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
+#include "src/server/frame_wait.h"
 
 namespace tdb::server {
 
@@ -235,12 +236,13 @@ void TdbServer::ServeSession(std::shared_ptr<net::Connection> conn) {
   session.last_activity = std::chrono::steady_clock::now();
 
   const auto poll = std::min(options_.idle_timeout, kRecvPollInterval);
+  FrameWait wait = FrameWait::ForSession(AffinityCpus());
   // Start of the recv stage for the next frame: the previous response's
   // send completion (or session start). Includes client think time, so it is
   // reported but never counted against the slow-request threshold.
   auto recv_start = session.last_activity;
   while (!stop_.load(std::memory_order_acquire)) {
-    Result<Bytes> frame = conn->Recv(poll);
+    Result<Bytes> frame = wait.Next(*conn, poll);
     if (!frame.ok()) {
       if (frame.status().code() != StatusCode::kTimeout) {
         break;  // peer gone

@@ -216,6 +216,34 @@ TEST(LinearRegressionTest, RecoversPlantedModel) {
   EXPECT_NEAR(reg.RSquared(beta), 1.0, 1e-9);
 }
 
+// E4's sweep shape: commits of 1-128 chunks of 128 B-16 KiB span three
+// orders of magnitude, and timing noise is proportional to the commit.
+// Unweighted, the largest commits decide the fit and its intercept is
+// lost in their noise; weighted by 1/y^2, every term comes back.
+TEST(LinearRegressionTest, RelativeWeightsRecoverAModelUnderMultiplicativeNoise) {
+  LinearRegression weighted(2);
+  LinearRegression unweighted(2);
+  Rng rng(11);
+  for (double size : {128.0, 512.0, 2048.0, 16384.0}) {
+    for (double chunks = 1; chunks <= 128; chunks *= 2) {
+      for (int rep = 0; rep < 8; ++rep) {
+        const double model = 132.0 + 36.0 * chunks + 0.24 * chunks * size;
+        const double y = model * (0.9 + 0.2 * rng.NextDouble());  // ±10%
+        weighted.Add({chunks, chunks * size}, y, 1.0 / (y * y));
+        unweighted.Add({chunks, chunks * size}, y);
+      }
+    }
+  }
+  std::vector<double> beta = weighted.Solve();
+  ASSERT_EQ(beta.size(), 3u);
+  EXPECT_NEAR(beta[0], 132.0, 0.1 * 132.0);
+  EXPECT_NEAR(beta[1], 36.0, 0.1 * 36.0);
+  EXPECT_NEAR(beta[2], 0.24, 0.02 * 0.24);
+  std::vector<double> plain = unweighted.Solve();
+  ASSERT_EQ(plain.size(), 3u);
+  EXPECT_GT(std::fabs(plain[0] - 132.0), 10 * std::fabs(beta[0] - 132.0));
+}
+
 TEST(LinearRegressionTest, SingularSystemReturnsEmpty) {
   LinearRegression reg(1);
   reg.Add({1.0}, 2.0);  // underdetermined

@@ -28,12 +28,19 @@
 #include "src/platform/trusted_store.h"
 #include "src/server/blob.h"
 #include "src/server/client.h"
+#include "src/server/frame_wait.h"
 #include "src/server/server.h"
 #include "src/store/untrusted_store.h"
 #include "tests/metrics_test_util.h"
 
 namespace tdb::server {
 namespace {
+
+// Either side of a hop polls for tens of microseconds before it parks in
+// Recv; kAnswerLate is far past that. kPeerIo bounds every wait that should
+// end long before it.
+constexpr auto kAnswerLate = std::chrono::milliseconds(50);
+constexpr auto kPeerIo = std::chrono::milliseconds(5000);
 
 const BlobValue& AsBlob(const ObjectPtr& object) {
   return dynamic_cast<const BlobValue&>(*object);
@@ -942,6 +949,28 @@ TEST_F(ServerTest, EveryMetricNameHasOneKindAndTheDottedForm) {
   ASSERT_TRUE(client->Begin().ok());
   ASSERT_TRUE(client->Get(*id).ok());
   ASSERT_TRUE(client->Commit().ok());
+  // Both sides of a hop park (client and server share this registry):
+  // `other` waits kAnswerLate for an answer held up by `client`'s lock, and
+  // `client`'s session as long for its commit.
+  auto other = NewClient();
+  ASSERT_TRUE(client->Begin().ok());
+  ASSERT_TRUE(client->GetForUpdate(*id).ok());
+  const uint64_t requests = obs::MetricsRegistry::Instance().GetCounter(
+      "server.requests");
+  std::thread blocked([&] {
+    ASSERT_TRUE(other->Begin().ok());
+    EXPECT_TRUE(other->GetForUpdate(*id).ok());
+    EXPECT_TRUE(other->Commit().ok());
+  });
+  const auto deadline = std::chrono::steady_clock::now() + kPeerIo;
+  while (obs::MetricsRegistry::Instance().GetCounter("server.requests") <
+             requests + 2 &&  // other's begin and get are in
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(kAnswerLate);
+  EXPECT_TRUE(client->Commit().ok());
+  blocked.join();
 
   auto snapshot = client->FetchStats();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
@@ -949,7 +978,10 @@ TEST_F(ServerTest, EveryMetricNameHasOneKindAndTheDottedForm) {
   ASSERT_FALSE(snapshot->counters.empty());
   ASSERT_FALSE(snapshot->gauges.empty());
   ASSERT_FALSE(snapshot->histograms.empty());
-  EXPECT_EQ(snapshot->counters.count("server.requests"), 1u);
+  for (const char* counter :
+       {"server.requests", "wire.client.parks", "wire.session.parks"}) {
+    EXPECT_EQ(snapshot->counters.count(counter), 1u) << counter;
+  }
   ExpectOneKindAndTheDottedForm(*snapshot);
 }
 
@@ -1382,10 +1414,6 @@ TEST_F(ServerTest, StatsRoundTripOverTcp) {
 
 // The client's wait for an answer, against a peer the test plays by hand on
 // each transport, so the test decides when, and whether, the answer comes.
-// The client polls for tens of microseconds before it parks in Recv;
-// kAnswerLate is far past that.
-constexpr auto kAnswerLate = std::chrono::milliseconds(50);
-constexpr auto kPeerIo = std::chrono::milliseconds(5000);
 
 Bytes OkAnswer() { return EncodeResponses({ResponseFromStatus(OkStatus())}); }
 
@@ -1425,6 +1453,7 @@ INSTANTIATE_TEST_SUITE_P(Transports, AnswerWaitTest, ::testing::Bool(),
                          });
 
 TEST_P(AnswerWaitTest, AnswerAfterThePollBudgetWakesTheParkedClient) {
+  ScopedMetrics metrics;
   TdbClient client(&registry_);
   std::unique_ptr<net::Connection> peer = Connect(client);
   ASSERT_NE(peer, nullptr);
@@ -1439,6 +1468,7 @@ TEST_P(AnswerWaitTest, AnswerAfterThePollBudgetWakesTheParkedClient) {
   server.join();
   EXPECT_TRUE(pinged.ok()) << pinged;
   EXPECT_GE(waited, kAnswerLate);
+  EXPECT_EQ(metrics.Counter("wire.client.parks"), 1u);
 }
 
 TEST_P(AnswerWaitTest, PeerThatClosesWhileTheClientWaitsIsAnIoErrorAtOnce) {
@@ -1474,6 +1504,216 @@ TEST_P(AnswerWaitTest, AnswerThatNeverComesStillTimesOut) {
   server.join();
   EXPECT_EQ(pinged.code(), StatusCode::kTimeout) << pinged;
   EXPECT_GE(waited, kRequestTimeout);
+}
+
+// The wait's rule (frame_wait.h), against a connection that counts the
+// Readable() calls a wait makes: a poll calls it at least once, a wait that
+// parks at once never does. Recv always hands over a frame at once.
+class CountingConnection : public net::Connection {
+ public:
+  Status Send(ByteView, std::chrono::milliseconds) override {
+    return OkStatus();
+  }
+  Result<Bytes> Recv(std::chrono::milliseconds) override { return OkAnswer(); }
+  bool Readable() const override {
+    ++readable_calls;
+    return readable;
+  }
+  void Close() override {}
+  std::string peer() const override { return "counting"; }
+
+  bool readable = false;  // false: every poll runs out its budget
+  mutable int readable_calls = 0;
+};
+
+// Runs one wait on `conn`; true when it polled.
+bool Polled(FrameWait& wait, CountingConnection& conn) {
+  const int before = conn.readable_calls;
+  EXPECT_TRUE(wait.Next(conn, kPeerIo).ok());
+  return conn.readable_calls > before;
+}
+
+// Misses back off to one poll every kBackOffPeriod waits, on either side.
+TEST(FrameWaitTest, MissedPollsBackOffToEveryEighthWait) {
+  for (const char* side : {"client", "session"}) {
+    SCOPED_TRACE(side);
+    ScopedMetrics metrics;
+    FrameWait wait = side[0] == 'c' ? FrameWait::ForClient()
+                                    : FrameWait::ForSession(/*cpus=*/4);
+    CountingConnection conn;
+    for (int i = 0; i < FrameWait::kMissesToBackOff; ++i) {
+      EXPECT_TRUE(Polled(wait, conn)) << "miss " << i;
+    }
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 1; i < FrameWait::kBackOffPeriod; ++i) {
+        EXPECT_FALSE(Polled(wait, conn)) << "round " << round << ", wait " << i;
+      }
+      EXPECT_TRUE(Polled(wait, conn)) << "round " << round;
+    }
+    // Every wait ended in Recv without finding the frame first.
+    EXPECT_EQ(metrics.Counter(std::string("wire.") + side + ".parks"),
+              static_cast<uint64_t>(FrameWait::kMissesToBackOff +
+                                    2 * FrameWait::kBackOffPeriod));
+  }
+}
+
+TEST(FrameWaitTest, PollThatFindsTheFrameBringsPollingBack) {
+  ScopedMetrics metrics;
+  FrameWait wait = FrameWait::ForSession(/*cpus=*/2);
+  CountingConnection conn;
+  for (int i = 0; i < FrameWait::kMissesToBackOff; ++i) {
+    EXPECT_TRUE(Polled(wait, conn));
+  }
+  for (int i = 1; i < FrameWait::kBackOffPeriod; ++i) {
+    EXPECT_FALSE(Polled(wait, conn));
+  }
+  conn.readable = true;
+  EXPECT_TRUE(Polled(wait, conn));  // the backed-off poll finds the frame
+  for (int i = 0; i < FrameWait::kBackOffPeriod; ++i) {
+    EXPECT_TRUE(Polled(wait, conn)) << "wait " << i << " after the find";
+  }
+  // The polls that found the frame were not parks.
+  EXPECT_EQ(metrics.Counter("wire.session.parks"),
+            static_cast<uint64_t>(FrameWait::kMissesToBackOff +
+                                  FrameWait::kBackOffPeriod - 1));
+}
+
+TEST(FrameWaitTest, SessionOnOneCpuParksAtOnceAndTheClientStillPolls) {
+  ScopedMetrics metrics;
+  CountingConnection conn;
+  conn.readable = true;
+  FrameWait session = FrameWait::ForSession(/*cpus=*/1);
+  for (int i = 0; i < 3 * FrameWait::kBackOffPeriod; ++i) {
+    ASSERT_TRUE(session.Next(conn, kPeerIo).ok());
+  }
+  EXPECT_EQ(conn.readable_calls, 0);
+  EXPECT_EQ(metrics.Counter("wire.session.parks"),
+            static_cast<uint64_t>(3 * FrameWait::kBackOffPeriod));
+  FrameWait client = FrameWait::ForClient();
+  EXPECT_TRUE(Polled(client, conn));
+  EXPECT_EQ(metrics.Counter("wire.client.parks"), 0u);
+}
+
+// The session's side of the hop: a real server, and a client the test
+// plays by hand on each transport, so the test decides when, and whether,
+// the next frame comes.
+class SessionWaitTest : public ServerTest,
+                        public ::testing::WithParamInterface<bool> {
+ protected:
+  net::Transport& transport() {
+    if (GetParam()) {
+      return tcp_;
+    }
+    return transport_;
+  }
+
+  // Starts the server; false (and the test skipped) where TCP is missing.
+  bool Start(TdbServerOptions options = {}) {
+    server_ = std::make_unique<TdbServer>(chunks_.get(), partition_,
+                                          &registry_, options);
+    Status started =
+        server_->Start(&transport(), GetParam() ? "127.0.0.1:0" : "tdb");
+    if (!started.ok()) {
+      server_.reset();
+      return false;
+    }
+    return true;
+  }
+
+  // The server goes before the TCP transport it listens on.
+  void TearDown() override { server_.reset(); }
+
+  std::unique_ptr<net::Connection> Connect() {
+    auto conn = transport().Connect(server_->address(), kPeerIo);
+    EXPECT_TRUE(conn.ok()) << conn.status();
+    return conn.ok() ? std::move(*conn) : nullptr;
+  }
+
+  net::TcpTransport tcp_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Transports, SessionWaitTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Tcp" : "Loopback";
+                         });
+
+// One ping frame by hand: sends it and reads the session's answer.
+Status PingByHand(net::Connection& conn) {
+  TDB_RETURN_IF_ERROR(
+      conn.Send(EncodeRequests({Request{.op = Op::kPing}}), kPeerIo));
+  TDB_ASSIGN_OR_RETURN(Bytes frame, conn.Recv(kPeerIo));
+  TDB_ASSIGN_OR_RETURN(std::vector<Response> answers, DecodeResponses(frame));
+  return answers.size() == 1 ? StatusFromResponse(answers[0])
+                             : CorruptionError("not one answer");
+}
+
+TEST_P(SessionWaitTest, FrameLongAfterTheLastAnswerIsServed) {
+  ScopedMetrics metrics;
+  if (!Start()) {
+    GTEST_SKIP() << "TCP unavailable in this environment";
+  }
+  std::unique_ptr<net::Connection> conn = Connect();
+  ASSERT_NE(conn, nullptr);
+  ASSERT_TRUE(PingByHand(*conn).ok());
+  std::this_thread::sleep_for(kAnswerLate);  // far past the session's poll
+  Status pinged = PingByHand(*conn);
+  EXPECT_TRUE(pinged.ok()) << pinged;
+  EXPECT_GE(metrics.Counter("wire.session.parks"), 1u);
+}
+
+TEST_P(SessionWaitTest, ClientThatClosesWhileItsSessionPollsEndsItAtOnce) {
+  ScopedMetrics metrics;
+  TdbServerOptions options;
+  options.idle_timeout = std::chrono::milliseconds(60000);
+  if (!Start(options)) {
+    GTEST_SKIP() << "TCP unavailable in this environment";
+  }
+  std::unique_ptr<net::Connection> conn = Connect();
+  ASSERT_NE(conn, nullptr);
+  ASSERT_TRUE(PingByHand(*conn).ok());
+  conn->Close();  // the session is waiting for the next frame
+  const auto start = std::chrono::steady_clock::now();
+  while (metrics.Counter("server.sessions_closed") == 0 &&
+         std::chrono::steady_clock::now() - start < kPeerIo) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(metrics.Counter("server.sessions_closed"), 1u)
+      << "the session outlived its client's close";
+}
+
+TEST_P(SessionWaitTest, StopWithPollingSessionsReturnsPromptly) {
+  if (!Start()) {
+    GTEST_SKIP() << "TCP unavailable in this environment";
+  }
+  // Clients that ping back to back keep their sessions polling between
+  // frames until Stop closes the connections under them.
+  constexpr int kClients = 4;
+  std::vector<std::unique_ptr<net::Connection>> conns;
+  for (int i = 0; i < kClients; ++i) {
+    conns.push_back(Connect());
+    ASSERT_NE(conns.back(), nullptr);
+  }
+  std::atomic<int> pings{0};
+  std::vector<std::thread> clients;
+  for (auto& conn : conns) {
+    clients.emplace_back([&conn, &pings] {
+      while (PingByHand(*conn).ok()) {
+        pings.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + kPeerIo;
+  while (pings.load(std::memory_order_relaxed) < 100 * kClients &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  server_->Stop();
+  const auto stopped = std::chrono::steady_clock::now() - start;
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  EXPECT_LT(stopped, kPeerIo) << "Stop waited for its sessions' timeouts";
 }
 
 bool RecvAll(int fd, uint8_t* data, size_t n) {
