@@ -27,49 +27,55 @@
 namespace tdb::bench {
 namespace {
 
-// One timed commit of `count` chunks of `size` bytes, repeated; the store is
-// fresh and the tree paths pre-allocated so checkpoints and cleaning stay
-// out of the measurement.
-RunningStats TimeCommits(int count, size_t size, int repetitions,
-                         LinearRegression& regression) {
-  Rng rng(BenchSeed() + 7);
-  Rig rig = MakeRig(/*segment_size=*/512 * 1024, /*num_segments=*/2048);
-  PartitionId partition = MakePartition(*rig.chunks);
+// One configuration: a fresh store whose `count` chunks of `size` bytes are
+// pre-allocated and written once, so checkpoints and cleaning stay out of
+// the measurement.
+struct Config {
+  int count = 0;
+  size_t size = 0;
+  Rng rng{BenchSeed() + 7};
+  Rig rig;
   std::vector<ChunkId> ids;
-  for (int i = 0; i < count; ++i) {
-    ids.push_back(*rig.chunks->AllocateChunk(partition));
-  }
-  {
-    ChunkStore::Batch batch;
-    for (ChunkId id : ids) {
-      batch.WriteChunk(id, rng.NextBytes(size));
-    }
-    (void)rig.chunks->Commit(std::move(batch));
-  }
   RunningStats stats;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    std::vector<Bytes> payloads;
-    payloads.reserve(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      payloads.push_back(rng.NextBytes(size));
-    }
-    double us = TimeUs([&] {
-      ChunkStore::Batch batch;
-      for (size_t i = 0; i < ids.size(); ++i) {
-        batch.WriteChunk(ids[i], std::move(payloads[i]));
-      }
-      Status status = rig.chunks->Commit(std::move(batch));
-      if (!status.ok()) {
-        std::fprintf(stderr, "commit failed: %s\n", status.ToString().c_str());
-        std::abort();
-      }
-    });
-    stats.Add(us);
-    regression.Add(
-        {static_cast<double>(count), static_cast<double>(count) * size}, us,
-        1.0 / (us * us));
+};
+
+Config MakeConfig(int count, size_t size) {
+  Config c;
+  c.count = count;
+  c.size = size;
+  c.rig = MakeRig(/*segment_size=*/512 * 1024, /*num_segments=*/2048);
+  PartitionId partition = MakePartition(*c.rig.chunks);
+  ChunkStore::Batch batch;
+  for (int i = 0; i < count; ++i) {
+    c.ids.push_back(*c.rig.chunks->AllocateChunk(partition));
+    batch.WriteChunk(c.ids.back(), c.rng.NextBytes(size));
   }
-  return stats;
+  (void)c.rig.chunks->Commit(std::move(batch));
+  return c;
+}
+
+// One timed commit of fresh payloads to every chunk of `c`.
+void TimeCommit(Config& c, LinearRegression& regression) {
+  std::vector<Bytes> payloads;
+  payloads.reserve(c.ids.size());
+  for (size_t i = 0; i < c.ids.size(); ++i) {
+    payloads.push_back(c.rng.NextBytes(c.size));
+  }
+  double us = TimeUs([&] {
+    ChunkStore::Batch batch;
+    for (size_t i = 0; i < c.ids.size(); ++i) {
+      batch.WriteChunk(c.ids[i], std::move(payloads[i]));
+    }
+    Status status = c.rig.chunks->Commit(std::move(batch));
+    if (!status.ok()) {
+      std::fprintf(stderr, "commit failed: %s\n", status.ToString().c_str());
+      std::abort();
+    }
+  });
+  c.stats.Add(us);
+  regression.Add(
+      {static_cast<double>(c.count), static_cast<double>(c.count) * c.size},
+      us, 1.0 / (us * us));
 }
 
 int Run(int argc, char** argv) {
@@ -88,17 +94,29 @@ int Run(int argc, char** argv) {
   const size_t kChunkSizes[] = {128, 512, 2048, 16384};
   const int kRepetitions = 8;
 
+  std::vector<Config> configs;
   for (size_t size : kChunkSizes) {
     for (int count : kChunkCounts) {
-      RunningStats stats = TimeCommits(count, size, kRepetitions, regression);
-      std::printf("%8d %10zu %14.1f %14.2f\n", count, size, stats.mean(),
-                  stats.mean() / count);
-      char params[96];
-      std::snprintf(params, sizeof(params), "chunks=%d,chunk_bytes=%zu",
-                    count, size);
-      json.Add("commit", params, stats.mean(), stats.stddev(),
-               1e6 * static_cast<double>(count) * size / stats.mean());
+      configs.push_back(MakeConfig(count, size));
     }
+  }
+  // Repetition r of every configuration runs before repetition r+1 of any,
+  // so the host's drift over the run spreads over all of them instead of
+  // landing on the configurations timed last.
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (Config& c : configs) {
+      TimeCommit(c, regression);
+    }
+  }
+  for (const Config& c : configs) {
+    const RunningStats& stats = c.stats;
+    std::printf("%8d %10zu %14.1f %14.2f\n", c.count, c.size, stats.mean(),
+                stats.mean() / c.count);
+    char params[96];
+    std::snprintf(params, sizeof(params), "chunks=%d,chunk_bytes=%zu",
+                  c.count, c.size);
+    json.Add("commit", params, stats.mean(), stats.stddev(),
+             1e6 * static_cast<double>(c.count) * c.size / stats.mean());
   }
 
   std::vector<double> beta = regression.Solve();

@@ -166,8 +166,8 @@ RunResult RunClients(int clients, bool group_commit, net::Transport& transport,
 }
 
 // Sharded sweep: `partitions` engines over one chunk store, each driven by
-// `clients_per_partition` commit-heavy clients. All engines chain into the
-// store-level combiner (two-level group commit), so leaders of different
+// `clients_per_partition` commit-heavy clients. All engines park their
+// commits on the server's one group-commit queue, so commits of different
 // partitions merge into a single chunk-store commit and one flush amortizes
 // across the whole fleet — aggregate commits/s should grow with partitions
 // even though the chunk store serializes commits.

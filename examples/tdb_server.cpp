@@ -4,9 +4,9 @@
 // trusted secret + monotonic counter, chunk store, partition directory —
 // and serves it to networked clients (see tdb_cli.cpp) with group commit
 // on. Every partition named with --partitions is created (if missing) and
-// served by its own engine; their commits merge in the store-level
-// combiner. With a single partition, clients that do not name one are
-// routed to it. Objects are BlobValue strings; Ctrl-C shuts down
+// served by its own engine; their commits merge in the server's one
+// group-commit queue. With a single partition, clients that do not name one
+// are routed to it. Objects are BlobValue strings; Ctrl-C shuts down
 // gracefully.
 //
 // Usage: tdb_server [ip:port] [--partitions name1,name2,...]

@@ -269,7 +269,7 @@ void PrintValues(const char* title, const std::map<std::string, V>& values,
 // shard.partition.<id>.* gauges the server publishes on every kStats.
 void PrintPartitions(const obs::StatsSnapshot& s) {
   struct Row {
-    double sessions = 0, commits = 0, queue_depth = 0, state = 0;
+    double sessions = 0, commits = 0, state = 0;
   };
   std::map<long, Row> rows;
   const std::string prefix = "shard.partition.";
@@ -286,17 +286,15 @@ void PrintPartitions(const obs::StatsSnapshot& s) {
     Row& row = rows[id];
     if (field == "sessions") row.sessions = v;
     else if (field == "commits") row.commits = v;
-    else if (field == "queue_depth") row.queue_depth = v;
     else if (field == "state") row.state = v;
   }
   static const char* kStates[] = {"serving", "draining", "moved"};
   std::printf("\n== partitions ==\n");
-  std::printf("%-10s %10s %10s %12s %10s\n", "partition", "sessions",
-              "commits", "queue_depth", "state");
+  std::printf("%-10s %10s %10s %10s\n", "partition", "sessions", "commits",
+              "state");
   for (const auto& [id, row] : rows) {
     int state = static_cast<int>(row.state);
-    std::printf("%-10ld %10.0f %10.0f %12.0f %10s\n", id, row.sessions,
-                row.commits, row.queue_depth,
+    std::printf("%-10ld %10.0f %10.0f %10s\n", id, row.sessions, row.commits,
                 state >= 0 && state <= 2 ? kStates[state] : "?");
   }
 }

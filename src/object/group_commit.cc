@@ -8,9 +8,7 @@
 
 namespace tdb {
 
-GroupCommitQueue::GroupCommitQueue(ChunkStore* chunks, size_t max_batch,
-                                   GroupCommitQueue* next)
-    : chunks_(chunks), max_batch_(max_batch == 0 ? 1 : max_batch), next_(next) {}
+GroupCommitQueue::GroupCommitQueue(ChunkStore* chunks) : chunks_(chunks) {}
 
 Status GroupCommitQueue::Commit(ChunkStore::Batch batch) {
   if (batch.empty()) {
@@ -46,7 +44,7 @@ Status GroupCommitQueue::Commit(ChunkStore::Batch batch) {
   // Leader: absorb every batch queued behind us, up to the cap. The waiters
   // we absorb stay parked (their frames, and thus their write batches and
   // their 2PL locks, stay alive) until we mark them done.
-  const size_t group_size = std::min(queue_.size(), max_batch_);
+  const size_t group_size = std::min(queue_.size(), kGroupCommitMaxBatch);
   std::vector<Waiter*> group(queue_.begin(), queue_.begin() + group_size);
   ChunkStore::Batch merged = std::move(me.batch);
   for (size_t i = 1; i < group_size; ++i) {
@@ -54,8 +52,7 @@ Status GroupCommitQueue::Commit(ChunkStore::Batch batch) {
   }
   lock.unlock();
 
-  Status status = next_ != nullptr ? next_->Commit(std::move(merged))
-                                   : chunks_->Commit(std::move(merged));
+  Status status = chunks_->Commit(std::move(merged));
 
   lock.lock();
   for (Waiter* w : group) {

@@ -5,10 +5,10 @@
 // counter or register write). When many transactions commit concurrently,
 // that cost can be amortized: callers park their already-built batches on a
 // queue, the caller at the front becomes the *leader*, coalesces every
-// queued batch (up to a cap) into one chunk-store commit, and wakes each
-// follower only after the shared flush — so an acknowledged commit is
-// exactly as durable as a solo one, but N concurrent commits perform one
-// chunk-store commit instead of N.
+// queued batch (up to kGroupCommitMaxBatch) into one chunk-store commit, and
+// wakes each follower only after the shared flush — so an acknowledged
+// commit is exactly as durable as a solo one, but N concurrent commits
+// perform one chunk-store commit instead of N.
 //
 // Correctness leans on two-phase locking above this layer: every parked
 // transaction still holds exclusive locks on its write set while it waits,
@@ -18,14 +18,13 @@
 // fails (out of space, I/O error, poisoned store), every member of that
 // batch fails with the same status.
 //
-// Queues chain: a queue constructed with a `next` queue submits its merged
-// batch there instead of to the chunk store. The sharded service uses this
-// for two-level group commit — each partition engine runs its own queue
-// (per-partition leader), and every engine leader parks on one store-level
-// combiner queue, which merges batches from *different* partitions (disjoint
-// by construction: a partition is served by exactly one engine) into a
-// single chunk-store commit. One flush then amortizes across partitions as
-// well as across transactions.
+// A queue may serve several object stores when their lock tables together
+// exclude every conflict. The sharded service runs one queue per server
+// (EngineRegistry): each partition is served by exactly one engine, so
+// batches of different partitions are disjoint and one flush amortizes
+// across partitions as well as across transactions. The queue does not
+// belong in ChunkStore: two object stores over one partition have lock
+// tables that do not exclude each other.
 
 #ifndef SRC_OBJECT_GROUP_COMMIT_H_
 #define SRC_OBJECT_GROUP_COMMIT_H_
@@ -39,20 +38,13 @@
 
 namespace tdb {
 
-// Most transactions an object store's queue leader merges into one batch,
-// and most engine batches the sharded service's store-level combiner merges
-// into one chunk-store commit.
+// Most transactions a queue leader merges into one chunk-store commit.
 inline constexpr size_t kGroupCommitMaxBatch = 64;
-inline constexpr size_t kCombineMaxBatch = 256;
 
 class GroupCommitQueue {
  public:
-  // `chunks` must outlive the queue. `max_batch` caps how many waiting
-  // transactions one leader may absorb (>= 1). When `next` is non-null the
-  // leader submits its merged batch to `next` (which must also outlive this
-  // queue) instead of committing it directly; chains must be acyclic.
-  GroupCommitQueue(ChunkStore* chunks, size_t max_batch,
-                   GroupCommitQueue* next = nullptr);
+  // `chunks` must outlive the queue.
+  explicit GroupCommitQueue(ChunkStore* chunks);
 
   // Commits `batch` as part of a coalesced chunk-store commit. Blocks until
   // the batch containing it is durable (or failed); returns the shared
@@ -71,8 +63,6 @@ class GroupCommitQueue {
   };
 
   ChunkStore* chunks_;
-  const size_t max_batch_;
-  GroupCommitQueue* const next_;  // null = commit straight to the store
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

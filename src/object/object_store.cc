@@ -17,8 +17,11 @@ ObjectStore::ObjectStore(ChunkStore* chunks, PartitionId partition,
       cache_(options.cache_capacity,
              {"object.cache_evictions", "object_cache"}) {
   if (options_.group_commit) {
-    group_commit_ = std::make_unique<GroupCommitQueue>(
-        chunks_, kGroupCommitMaxBatch, options_.commit_chain);
+    commit_queue_ = options_.commit_queue;
+    if (commit_queue_ == nullptr) {
+      own_queue_ = std::make_unique<GroupCommitQueue>(chunks_);
+      commit_queue_ = own_queue_.get();
+    }
   }
   obs::SetGauge("cache.shards", cache_.shard_count());
 }
@@ -274,12 +277,9 @@ Status Transaction::Commit() {
   // flushes a merged batch; either way the call returns only once this
   // transaction's writes are durable (or failed). The write locks acquired
   // above are held across the wait, which is what makes merging safe.
-  Status status =
-      store_->group_commit_ != nullptr
-          ? store_->group_commit_->Commit(std::move(batch))
-          : (store_->options_.commit_chain != nullptr
-                 ? store_->options_.commit_chain->Commit(std::move(batch))
-                 : store_->chunks_->Commit(std::move(batch)));
+  Status status = store_->commit_queue_ != nullptr
+                      ? store_->commit_queue_->Commit(std::move(batch))
+                      : store_->chunks_->Commit(std::move(batch));
   if (status.ok()) {
     for (auto& [id, value] : write_set_) {
       if (value.has_value()) {

@@ -76,14 +76,11 @@ struct ObjectStoreOptions {
   // Worth it when many threads/sessions commit concurrently; a solo
   // committer pays one extra queue hop.
   bool group_commit = false;
-  // Optional store-level queue this store's commits chain into (two-level
-  // group commit; see group_commit.h). With group_commit set, the store's
-  // own queue leader submits merged batches there; without it, every write
-  // commit parks there directly. The sharded service points every partition
-  // engine at one combiner so batches from different partitions share a
-  // flush. Must outlive the store. nullptr = commit straight to the chunk
-  // store.
-  GroupCommitQueue* commit_chain = nullptr;
+  // The queue write commits park on; read only with group_commit set.
+  // nullptr = a queue of this store's own. The sharded service points every
+  // partition engine at one queue per server, so commits of different
+  // partitions share a flush (group_commit.h). Must outlive the store.
+  GroupCommitQueue* commit_queue = nullptr;
 };
 
 class ObjectStore;
@@ -192,11 +189,6 @@ class ObjectStore {
   size_t cache_size() const;
   // Read-only transactions currently pinning a snapshot (snapshot.pins).
   size_t snapshot_pins() const;
-  // Commits parked on the group-commit queue right now; 0 when group commit
-  // is disabled.
-  size_t group_commit_queue_depth() const {
-    return group_commit_ == nullptr ? 0 : group_commit_->depth();
-  }
 
  private:
   friend class Transaction;
@@ -219,7 +211,8 @@ class ObjectStore {
   const TypeRegistry* registry_;
   ObjectStoreOptions options_;
   LockManager locks_;
-  std::unique_ptr<GroupCommitQueue> group_commit_;  // null when disabled
+  std::unique_ptr<GroupCommitQueue> own_queue_;  // set iff no queue was given
+  GroupCommitQueue* commit_queue_ = nullptr;     // null when disabled
 
   ShardedLruCache<ObjectPtr> cache_;
 

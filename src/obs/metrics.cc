@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string_view>
 
 namespace tdb::obs {
@@ -72,6 +73,16 @@ void MetricsRegistry::Add(const char* counter, uint64_t n) {
 void MetricsRegistry::SetGauge(const char* gauge, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   gauges_[gauge] = value;
+}
+
+void MetricsRegistry::EraseGauges(const std::string& prefix,
+                                  const std::set<std::string>& keep) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = gauges_.lower_bound(prefix);
+  while (it != gauges_.end() &&
+         it->first.compare(0, prefix.size(), prefix) == 0) {
+    it = keep.count(it->first) != 0 ? std::next(it) : gauges_.erase(it);
+  }
 }
 
 void MetricsRegistry::Observe(const char* histogram, double value) {

@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,10 @@ class MetricsRegistry {
   void Add(const char* counter, uint64_t n = 1);
   // Sets a named gauge (last writer wins).
   void SetGauge(const char* gauge, double value);
+  // Erases every gauge whose name starts with `prefix` and is not in `keep`:
+  // for a family of gauges whose members come and go.
+  void EraseGauges(const std::string& prefix,
+                   const std::set<std::string>& keep);
   // Records one sample into a named histogram on the calling thread's block.
   void Observe(const char* histogram, double value);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <ctime>
+#include <set>
 #include <utility>
 
 #include "src/backup/backup_store.h"
@@ -155,23 +156,24 @@ void TdbServer::PublishGauges() {
   std::vector<std::shared_ptr<shard::PartitionEngine>> engines =
       engines_.Engines();
   obs::SetGauge("shard.partitions", static_cast<double>(engines.size()));
-  double queue_depth = 0;
+  std::set<std::string> published;
+  auto publish = [&](const std::string& name, double value) {
+    obs::SetGauge(name.c_str(), value);
+    published.insert(name);
+  };
   for (const std::shared_ptr<shard::PartitionEngine>& engine : engines) {
     const std::string prefix =
         "shard.partition." + std::to_string(engine->partition());
-    obs::SetGauge((prefix + ".sessions").c_str(),
-                  static_cast<double>(engine->active_txns()));
-    obs::SetGauge((prefix + ".commits").c_str(),
-                  static_cast<double>(engine->store()->write_commits()));
-    obs::SetGauge((prefix + ".queue_depth").c_str(),
-                  static_cast<double>(
-                      engine->store()->group_commit_queue_depth()));
-    obs::SetGauge((prefix + ".state").c_str(),
-                  static_cast<double>(engine->state()));
-    queue_depth += static_cast<double>(
-        engine->store()->group_commit_queue_depth());
+    publish(prefix + ".sessions", static_cast<double>(engine->active_txns()));
+    publish(prefix + ".commits",
+            static_cast<double>(engine->store()->write_commits()));
+    publish(prefix + ".state", static_cast<double>(engine->state()));
   }
-  obs::SetGauge("server.group_commit.queue_depth", queue_depth);
+  // A dropped or moved partition's gauges would otherwise read on as if it
+  // were still served.
+  obs::MetricsRegistry::Instance().EraseGauges("shard.partition.", published);
+  obs::SetGauge("server.group_commit.queue_depth",
+                static_cast<double>(engines_.commit_queue_depth()));
   // ChunkStore::GetStats publishes the chunk gauges (live/used log bytes)
   // as a side effect.
   (void)chunks_->GetStats();

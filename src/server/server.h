@@ -16,9 +16,9 @@
 // participates in live hand-off — or *single-partition* (the legacy
 // constructor), which serves exactly one partition and rejects directory
 // ops. Either way each served partition gets its own engine (ObjectStore:
-// locks, cache, group-commit queue), and all engines chain their commits
-// into one store-level combiner (two-level group commit, group_commit.h) so
-// concurrent leaders of different partitions share a flush.
+// locks, cache), and with group commit on every engine parks its write
+// commits on the server's one queue (group_commit.h), so concurrent commits
+// of different partitions share a flush.
 //
 // Live hand-off (kHandoffExport/Import/Cutover/Activate/Finish; see wire.h
 // and the DESIGN.md §10 crash contract): the source ships a COW snapshot
@@ -71,9 +71,9 @@ struct TdbServerOptions {
   // disables slow-request events.
   std::chrono::microseconds slow_request_threshold{100000};
 
-  // Per-partition object-store configuration. Every engine's commits chain
-  // into one store-level combiner either way (two-level group commit,
-  // group_commit.h).
+  // Per-partition object-store configuration. With group_commit set, every
+  // engine's write commits park on the server's one queue (group_commit.h);
+  // without it, each commits straight to the chunk store.
   bool group_commit = true;
   std::chrono::milliseconds lock_timeout{500};
   size_t cache_capacity = 4096;
@@ -152,8 +152,9 @@ class TdbServer {
   void DropHandoffSnapshots(PartitionId partition);
 
   // Publishes session/queue state plus the per-partition
-  // `shard.partition.<id>.*` gauges and refreshes the chunk store's gauges,
-  // so a snapshot taken right after (kStats) reflects the live server.
+  // `shard.partition.<id>.*` gauges, erases those of partitions no longer
+  // served, and refreshes the chunk store's gauges, so a snapshot taken
+  // right after (kStats) reflects the live server.
   void PublishGauges();
 
   ChunkStore* chunks_;

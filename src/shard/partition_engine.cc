@@ -120,8 +120,8 @@ EngineRegistry::EngineRegistry(ChunkStore* chunks, const TypeRegistry* registry,
     : chunks_(chunks),
       registry_(registry),
       store_options_(store_options),
-      combiner_(chunks, kCombineMaxBatch) {
-  store_options_.commit_chain = &combiner_;
+      commit_queue_(chunks) {
+  store_options_.commit_queue = &commit_queue_;
 }
 
 Result<std::shared_ptr<PartitionEngine>> EngineRegistry::Add(

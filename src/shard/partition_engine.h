@@ -1,9 +1,9 @@
 // The sharded-service engine layer: one partition, one engine.
 //
 // A PartitionEngine owns everything per-partition that the service layer
-// needs — an ObjectStore (its own LockManager, object cache and group-commit
-// queue) over the shared ChunkStore — plus the ownership state machine that
-// live hand-off drives:
+// needs — an ObjectStore (its own LockManager and object cache) over the
+// shared ChunkStore — plus the ownership state machine that live hand-off
+// drives:
 //
 //   kServing  --StartDraining-->  kDraining  --MarkMoved-->  kMoved
 //       ^                             |
@@ -16,11 +16,10 @@
 // cut-over.
 //
 // The EngineRegistry owns the set of engines a server serves, keyed by
-// partition id, and one store-level group-commit *combiner* queue. Every
-// engine's ObjectStore chains into the combiner (two-level group commit,
-// see group_commit.h): per-partition leaders merge their own sessions'
-// commits, then park on the combiner, whose leader merges batches from
-// different partitions — disjoint by construction — into a single
+// partition id, and the server's one GroupCommitQueue. With group commit
+// on, every engine's ObjectStore parks its write commits there, and the
+// leader merges batches of any partition — disjoint by construction, since
+// each partition has exactly one engine and lock table — into a single
 // chunk-store commit. One flush amortizes across partitions, which is what
 // makes aggregate commit throughput scale with served partitions even
 // though the chunk store serializes commits.
@@ -98,13 +97,13 @@ class PartitionEngine {
   size_t active_txns_ = 0;
 };
 
-// Every engine's commits chain into one store-level combiner (the
-// registry's), so concurrent leaders of different partitions share a flush.
+// With group commit on, every engine's commits park on the registry's one
+// queue, so concurrent commits of different partitions share a flush.
 class EngineRegistry {
  public:
   // `chunks` and `registry` must outlive this object (and all engines).
-  // `store_options` configure every engine; their commit_chain is replaced
-  // by the combiner.
+  // `store_options` configure every engine; their commit_queue is replaced
+  // by the registry's queue.
   EngineRegistry(ChunkStore* chunks, const TypeRegistry* registry,
                  ObjectStoreOptions store_options = {});
 
@@ -126,13 +125,14 @@ class EngineRegistry {
   std::vector<std::shared_ptr<PartitionEngine>> Engines() const;
   size_t size() const;
 
-  GroupCommitQueue* combiner() { return &combiner_; }
+  // Commits parked on the queue right now; 0 while group commit is off.
+  size_t commit_queue_depth() const { return commit_queue_.depth(); }
 
  private:
   ChunkStore* chunks_;
   const TypeRegistry* registry_;
   ObjectStoreOptions store_options_;
-  GroupCommitQueue combiner_;
+  GroupCommitQueue commit_queue_;
 
   mutable std::mutex mu_;
   std::map<PartitionId, std::shared_ptr<PartitionEngine>> engines_;

@@ -21,9 +21,9 @@
 // no torn mixture of states is visible, and the store (including the
 // trusted register/counter) is still fully usable.
 //
-// Workloads: batch commit, checkpoint, segment clean, backup write, backup
-// restore, XDB WAL commit, trusted-register advance (file-backed, torn at
-// every byte), and a file-backed chunk store sweep.
+// Workloads: batch commit, checkpoint, segment clean, segment reuse, backup
+// write, backup restore, XDB WAL commit, trusted-register advance
+// (file-backed, torn at every byte), and a file-backed chunk store sweep.
 
 #include <gtest/gtest.h>
 
@@ -127,6 +127,38 @@ std::vector<Step> CleanWorkload() {
       {{}, false, true},  // clean
       {{{1, val('l')}}, false, false},
   };
+}
+
+// Segments of the reuse workload's store.
+constexpr uint32_t kReuseSegments = 16;
+
+std::vector<Step> ReuseWorkload() {
+  // Rounds of overwrites on a 16 x 4 KiB store. Each round fills about a
+  // segment with versions that later rounds kill; its checkpoint moves them
+  // out of the residual log and its clean frees them, so within a few
+  // rounds PickFreeSegment hands out segments the cleaner freed. Slots 3
+  // and 4 take turns, three rounds each, and the one at rest keeps its
+  // version live, so segments differ in live bytes and the cleaner frees
+  // them out of log order: a reused segment's stale link past the tail can
+  // then point into a segment the log already visited (DESIGN.md,
+  // deviation 3). Values of 300-1,100 bytes move record boundaries from
+  // round to round. The live set stays under 6 KiB, so no commit runs out
+  // of space.
+  constexpr int kRounds = 12;
+  constexpr int kCommitsPerRound = 5;
+  std::vector<Step> steps;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < kCommitsPerRound; ++i) {
+      const int slot = i == 0 ? 3 + (round / 3) % 2 : i % 3;
+      std::string value(300 + 400 * ((round + i) % 3),
+                        static_cast<char>('a' + round));
+      value[1] = static_cast<char>('0' + i);
+      steps.push_back({{{slot, value}}, false, false});
+    }
+    steps.back().checkpoint_after = true;
+    steps.back().clean_after = true;
+  }
+  return steps;
 }
 
 // Logical (slot -> value) state after each acknowledged step.
@@ -296,7 +328,7 @@ ChunkStoreOptions StoreOptions(ValidationMode mode) {
 // point count observed (for the learning pass).
 uint64_t SweepCell(ValidationMode mode, UntrustedStoreOptions uopts,
                    const std::vector<Step>& steps, uint64_t k,
-                   const CrashConfig& cfg, size_t* cleaned_out = nullptr) {
+                   const CrashConfig& cfg, RunResult* run_out = nullptr) {
   MemEnv env(uopts);
   ChunkStoreOptions options = StoreOptions(mode);
   env.ctl.Arm(k, cfg.tear);
@@ -309,8 +341,8 @@ uint64_t SweepCell(ValidationMode mode, UntrustedStoreOptions uopts,
     }
   }
   uint64_t points = env.ctl.points();
-  if (cleaned_out != nullptr) {
-    *cleaned_out = run.segments_cleaned;
+  if (run_out != nullptr) {
+    *run_out = run;
   }
   std::string context = std::string(cfg.name) + " k=" + std::to_string(k) +
                         " completed=" + std::to_string(run.completed);
@@ -338,24 +370,29 @@ uint64_t SweepCell(ValidationMode mode, UntrustedStoreOptions uopts,
   return points;
 }
 
-// Learning pass + full enumeration for one chunk-store workload.
+// Learning pass + full enumeration for one chunk-store workload. The
+// learning pass must run every step, and its explicit cleans must free at
+// least `min_cleaned` segments.
 void SweepChunkWorkload(ValidationMode mode, UntrustedStoreOptions uopts,
                         const std::vector<Step>& steps, const char* name,
                         const CrashConfig* configs, size_t num_configs,
-                        bool expect_clean = false) {
-  size_t cleaned = 0;
+                        size_t min_cleaned = 0) {
+  RunResult learned;
   uint64_t total_points =
       SweepCell(mode, uopts, steps, CrashPointController::kNeverCrash,
-                kFullMatrix[1], &cleaned);
+                kFullMatrix[1], &learned);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   ASSERT_GT(total_points, 10u) << name;
-  if (expect_clean) {
-    ASSERT_GE(cleaned, 1u) << name << ": workload never cleaned a segment";
-  }
+  ASSERT_EQ(learned.completed, static_cast<int>(steps.size()))
+      << name << ": the workload stopped without a crash";
+  ASSERT_GE(learned.segments_cleaned, min_cleaned)
+      << name << ": workload cleaned too few segments";
   ::testing::Test::RecordProperty(std::string("points_") + name,
                                   static_cast<int>(total_points));
-  std::printf("[ sweep    ] %s: %llu crash points x %zu configs\n", name,
-              static_cast<unsigned long long>(total_points), num_configs);
+  std::printf("[ sweep    ] %s: %llu crash points x %zu configs, %zu segments "
+              "cleaned\n",
+              name, static_cast<unsigned long long>(total_points), num_configs,
+              learned.segments_cleaned);
   for (size_t c = 0; c < num_configs; ++c) {
     for (uint64_t k = 0; k < total_points; ++k) {
       SweepCell(mode, uopts, steps, k, configs[c]);
@@ -391,7 +428,16 @@ TEST_P(CrashSweepTest, CheckpointWorkloadEveryPoint) {
 TEST_P(CrashSweepTest, CleanWorkloadEveryPoint) {
   SweepChunkWorkload(GetParam(), {.segment_size = 4096, .num_segments = 64},
                      CleanWorkload(), "clean", kReducedMatrix, 2,
-                     /*expect_clean=*/true);
+                     /*min_cleaned=*/1);
+}
+
+// More segments cleaned than the store holds: cleaned segments were handed
+// out again, and recovery meets the stale records of their earlier use.
+TEST_P(CrashSweepTest, SegmentReuseWorkloadEveryPoint) {
+  SweepChunkWorkload(GetParam(),
+                     {.segment_size = 4096, .num_segments = kReuseSegments},
+                     ReuseWorkload(), "reuse", kReducedMatrix, 2,
+                     /*min_cleaned=*/kReuseSegments + 1);
 }
 
 // ---------------------------------------------------------------------------

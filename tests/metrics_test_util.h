@@ -63,6 +63,28 @@ inline void ExpectOneKindAndTheDottedForm(const obs::StatsSnapshot& s) {
   }
 }
 
+// Group commit counts each write transaction once, however many partitions
+// or leaders it passed: the batch sizes sum to the write transactions
+// committed, each of them waited once, and every leader pass both counts a
+// group commit and observes one batch.
+inline void ExpectEachWriteCommitCountedOnce(uint64_t write_txns) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  uint64_t batches = 0;
+  double batched_txns = 0;
+  uint64_t waits = 0;
+  for (const auto& h : registry.Histograms()) {
+    if (h.name == "object.group_commit_batch") {
+      batches = h.count;
+      batched_txns = h.sum;
+    } else if (h.name == "object.group_commit_wait_us") {
+      waits = h.count;
+    }
+  }
+  EXPECT_EQ(batched_txns, static_cast<double>(write_txns));
+  EXPECT_EQ(waits, write_txns);
+  EXPECT_EQ(registry.GetCounter("object.group_commits"), batches);
+}
+
 }  // namespace tdb
 
 #endif  // TESTS_METRICS_TEST_UTIL_H_

@@ -203,7 +203,6 @@ TEST_F(ObsTest, PartitionHandoffSchemaAppearsInSnapshotJson) {
   SetGauge("shard.partitions", 2);
   SetGauge("shard.partition.2.sessions", 3);
   SetGauge("shard.partition.2.commits", 41);
-  SetGauge("shard.partition.2.queue_depth", 1);
   SetGauge("shard.partition.2.state", 0);
 
   std::string json = SnapshotJson();
@@ -211,7 +210,7 @@ TEST_F(ObsTest, PartitionHandoffSchemaAppearsInSnapshotJson) {
        {"\"partition_handoff_begin\"", "\"partition_handoff_cutover\"",
         "\"partition_handoff_complete\"", "\"shard.partitions\"",
         "\"shard.partition.2.sessions\"", "\"shard.partition.2.commits\"",
-        "\"shard.partition.2.queue_depth\"", "\"shard.partition.2.state\""}) {
+        "\"shard.partition.2.state\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
 }

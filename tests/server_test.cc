@@ -42,6 +42,10 @@ namespace {
 constexpr auto kAnswerLate = std::chrono::milliseconds(50);
 constexpr auto kPeerIo = std::chrono::milliseconds(5000);
 
+// Concurrent writers of the group-commit tests.
+constexpr int kWriters = 8;
+constexpr int kCommitsPerWriter = 50;
+
 const BlobValue& AsBlob(const ObjectPtr& object) {
   return dynamic_cast<const BlobValue&>(*object);
 }
@@ -88,6 +92,48 @@ class ServerTest : public ::testing::Test {
     auto client = std::make_unique<TdbClient>(&registry_);
     EXPECT_TRUE(client->Connect(&transport_, server_->address()).ok());
     return client;
+  }
+
+  // Seeds one object per writer in one commit, then runs kWriters
+  // concurrent sessions that each commit kCommitsPerWriter puts of their
+  // own object, so transactions never conflict and every commit reaches
+  // the commit path. Returns the seeded ids.
+  std::vector<ObjectId> RunConcurrentWriters() {
+    std::vector<ObjectId> ids(kWriters);
+    auto setup = NewClient();
+    EXPECT_TRUE(setup->Begin().ok());
+    for (int i = 0; i < kWriters; ++i) {
+      auto id = setup->Insert(BlobValue("seed"));
+      EXPECT_TRUE(id.ok());
+      ids[i] = id.ok() ? *id : ObjectId{};
+    }
+    EXPECT_TRUE(setup->Commit().ok());
+
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kWriters);
+    for (int c = 0; c < kWriters; ++c) {
+      threads.emplace_back([&, c] {
+        TdbClient client(&registry_);
+        if (!client.Connect(&transport_, server_->address()).ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        for (int i = 0; i < kCommitsPerWriter; ++i) {
+          if (!client.Begin().ok() ||
+              !client.Put(ids[c], BlobValue("v" + std::to_string(i))).ok() ||
+              !client.Commit().ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+        }
+      });
+    }
+    for (auto& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    return ids;
   }
 
   MemUntrustedStore store_;
@@ -272,73 +318,41 @@ TEST_F(ServerTest, IdleSessionLosesItsLocks) {
 }
 
 TEST_F(ServerTest, GroupCommitBatchesConcurrentCommits) {
-  obs::MetricsRegistry::Instance().Reset();
-  obs::MetricsRegistry::Instance().Enable();
+  ScopedMetrics metrics;
   StartServer({.group_commit = true});
-
-  // Each client owns a distinct object, so transactions never conflict and
-  // every commit reaches the queue; concurrency makes leaders absorb
-  // followers.
-  constexpr int kClients = 8;
-  constexpr int kCommitsPerClient = 50;
-  std::vector<ObjectId> ids(kClients);
-  {
-    auto setup = NewClient();
-    ASSERT_TRUE(setup->Begin().ok());
-    for (int i = 0; i < kClients; ++i) {
-      auto id = setup->Insert(BlobValue("seed"));
-      ASSERT_TRUE(id.ok());
-      ids[i] = *id;
-    }
-    ASSERT_TRUE(setup->Commit().ok());
-  }
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      TdbClient client(&registry_);
-      if (!client.Connect(&transport_, server_->address()).ok()) {
-        failures.fetch_add(1);
-        return;
-      }
-      for (int i = 0; i < kCommitsPerClient; ++i) {
-        if (!client.Begin().ok() ||
-            !client.Put(ids[c], BlobValue("v" + std::to_string(i))).ok() ||
-            !client.Commit().ok()) {
-          failures.fetch_add(1);
-          return;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
+  std::vector<ObjectId> ids = RunConcurrentWriters();
 
   bool saw_batch_histogram = false;
   for (const auto& h : obs::MetricsRegistry::Instance().Histograms()) {
     if (h.name == "object.group_commit_batch") {
       saw_batch_histogram = true;
       EXPECT_GT(h.max, 1.0)
-          << "no commit was ever coalesced with another despite " << kClients
+          << "no commit was ever coalesced with another despite " << kWriters
           << " concurrent clients";
     }
   }
   EXPECT_TRUE(saw_batch_histogram);
-  obs::MetricsRegistry::Instance().Disable();
+  // The seed commit and every writer's, each counted once.
+  ExpectEachWriteCommitCountedOnce(1 + kWriters * kCommitsPerWriter);
 
   // Every client's last write is in place.
   auto check = NewClient();
   ASSERT_TRUE(check->Begin().ok());
-  for (int c = 0; c < kClients; ++c) {
+  for (int c = 0; c < kWriters; ++c) {
     auto blob = check->Get(ids[c]);
     ASSERT_TRUE(blob.ok());
     EXPECT_EQ(AsBlob(*blob).value,
-              "v" + std::to_string(kCommitsPerClient - 1));
+              "v" + std::to_string(kCommitsPerWriter - 1));
   }
+}
+
+TEST_F(ServerTest, GroupCommitOffCommitsStraightToTheChunkStore) {
+  ScopedMetrics metrics;
+  StartServer({.group_commit = false});
+  RunConcurrentWriters();
+  EXPECT_EQ(metrics.Counter("object.txn_commits"),
+            1u + kWriters * kCommitsPerWriter);
+  EXPECT_EQ(metrics.Counter("object.group_commits"), 0u);
 }
 
 TEST_F(ServerTest, TamperedChunkIsDetectedOverTheWire) {

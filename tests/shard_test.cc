@@ -1,14 +1,16 @@
 // Tests for the sharded service: per-partition engines over one chunk
 // store, the durable partition directory, cross-partition isolation at the
-// wire boundary, concurrent multi-partition traffic through the two-level
-// group commit, and live partition hand-off — including crash injection at
-// every hand-off stage (source crash before cut-over, torn and tampered
-// streams, crash mid-cut-over, crash after the move persisted) with both
-// sides recoverable and no false tamper alarms.
+// wire boundary, concurrent multi-partition traffic through the server's
+// one group-commit queue, the per-partition gauges, and live partition
+// hand-off — including crash injection at every hand-off stage (source
+// crash before cut-over, torn and tampered streams, crash mid-cut-over,
+// crash after the move persisted) with both sides recoverable and no false
+// tamper alarms.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "src/shard/directory.h"
 #include "src/shard/partition_engine.h"
 #include "src/store/untrusted_store.h"
+#include "tests/metrics_test_util.h"
 
 namespace tdb::server {
 namespace {
@@ -114,6 +117,12 @@ class Node {
   std::unique_ptr<TdbServer> server_;
 };
 
+// Concurrent multi-partition traffic on node a: two sessions per partition,
+// each inserting one row per transaction.
+constexpr int kPartitions = 4;
+constexpr int kClientsPerPartition = 2;
+constexpr int kTxnsPerClient = 12;
+
 class ShardTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -124,6 +133,60 @@ class ShardTest : public ::testing::Test {
   void StartBoth(TdbServerOptions options = {}) {
     a_.Start(&transport_, "node-a", options);
     b_.Start(&transport_, "node-b", options);
+  }
+
+  // Creates kPartitions tenant partitions on node a.
+  std::vector<PartitionId> CreatePartitions() {
+    auto admin = a_.NewClient(&transport_);
+    std::vector<PartitionId> pids;
+    for (int p = 0; p < kPartitions; ++p) {
+      auto pid = admin->PartitionCreate("tenant-" + std::to_string(p));
+      EXPECT_TRUE(pid.ok());
+      pids.push_back(pid.ok() ? *pid : 0);
+    }
+    return pids;
+  }
+
+  // Runs kClientsPerPartition sessions on each of `pids` at once, each
+  // committing kTxnsPerClient single-insert transactions. Returns the acked
+  // row ids of each partition.
+  std::vector<std::vector<ObjectId>> RunPartitionedInserts(
+      const std::vector<PartitionId>& pids) {
+    std::vector<std::vector<ObjectId>> acked(pids.size() *
+                                             kClientsPerPartition);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (size_t p = 0; p < pids.size(); ++p) {
+      for (int c = 0; c < kClientsPerPartition; ++c) {
+        const size_t slot = p * kClientsPerPartition + c;
+        threads.emplace_back([&, p, slot] {
+          auto client = a_.NewClient(&transport_);
+          for (int t = 0; t < kTxnsPerClient; ++t) {
+            if (!client->Begin(pids[p]).ok()) {
+              failures.fetch_add(1);
+              continue;
+            }
+            auto id = client->Insert(BlobValue("p" + std::to_string(p) +
+                                               " t" + std::to_string(t)));
+            if (!id.ok() || !client->Commit().ok()) {
+              failures.fetch_add(1);
+              continue;
+            }
+            acked[slot].push_back(*id);
+          }
+        });
+      }
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    std::vector<std::vector<ObjectId>> by_partition(pids.size());
+    for (size_t slot = 0; slot < acked.size(); ++slot) {
+      std::vector<ObjectId>& rows = by_partition[slot / kClientsPerPartition];
+      rows.insert(rows.end(), acked[slot].begin(), acked[slot].end());
+    }
+    return by_partition;
   }
 
   net::LoopbackTransport transport_;
@@ -252,64 +315,88 @@ TEST_F(ShardTest, CrossPartitionIsolationOverTheWire) {
   ASSERT_TRUE(alice->Abort().ok());
 }
 
-// --- Concurrent multi-partition traffic (two-level group commit) ------------
+// --- Concurrent multi-partition traffic (one group-commit queue) ------------
 
 TEST_F(ShardTest, ConcurrentTrafficAcrossFourPartitions) {
   StartBoth();
-  auto admin = a_.NewClient(&transport_);
-  constexpr int kPartitions = 4;
-  constexpr int kClientsPerPartition = 2;
-  constexpr int kTxnsPerClient = 12;
-  std::vector<PartitionId> pids;
-  for (int p = 0; p < kPartitions; ++p) {
-    auto pid = admin->PartitionCreate("tenant-" + std::to_string(p));
-    ASSERT_TRUE(pid.ok());
-    pids.push_back(*pid);
-  }
-
-  // Every commit funnels through the per-partition leaders into the shared
-  // store-level combiner; all must ack, and every acked row must land in
-  // the partition its session was begun on.
-  std::vector<std::vector<ObjectId>> acked(kPartitions * kClientsPerPartition);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kPartitions; ++p) {
-    for (int c = 0; c < kClientsPerPartition; ++c) {
-      const int slot = p * kClientsPerPartition + c;
-      threads.emplace_back([&, p, slot] {
-        auto client = a_.NewClient(&transport_);
-        for (int t = 0; t < kTxnsPerClient; ++t) {
-          if (!client->Begin(pids[p]).ok()) {
-            failures.fetch_add(1);
-            continue;
-          }
-          auto id = client->Insert(BlobValue("p" + std::to_string(p) + " t" +
-                                             std::to_string(t)));
-          if (!id.ok() || !client->Commit().ok()) {
-            failures.fetch_add(1);
-            continue;
-          }
-          acked[slot].push_back(*id);
-        }
-      });
-    }
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
+  std::vector<PartitionId> pids = CreatePartitions();
+  // Every commit of every partition parks on the server's one queue; all
+  // must ack, and every acked row must land in the partition its session
+  // was begun on.
+  std::vector<std::vector<ObjectId>> acked = RunPartitionedInserts(pids);
 
   auto reader = a_.NewClient(&transport_);
   for (int p = 0; p < kPartitions; ++p) {
     ASSERT_TRUE(reader->BeginReadOnly(pids[p]).ok());
-    for (int c = 0; c < kClientsPerPartition; ++c) {
-      for (ObjectId id : acked[p * kClientsPerPartition + c]) {
-        EXPECT_EQ(id.partition, pids[p]);
-        EXPECT_TRUE(reader->Get(id).ok()) << id.ToString();
-      }
+    for (ObjectId id : acked[p]) {
+      EXPECT_EQ(id.partition, pids[p]);
+      EXPECT_TRUE(reader->Get(id).ok()) << id.ToString();
     }
     ASSERT_TRUE(reader->Abort().ok());
   }
+}
+
+TEST_F(ShardTest, CommitsOfEveryPartitionAreCountedOnce) {
+  StartBoth();
+  std::vector<PartitionId> pids = CreatePartitions();
+  ScopedMetrics metrics;
+  uint64_t write_txns = 0;
+  for (const std::vector<ObjectId>& rows : RunPartitionedInserts(pids)) {
+    write_txns += rows.size();
+  }
+  EXPECT_EQ(write_txns, static_cast<uint64_t>(kPartitions *
+                                              kClientsPerPartition *
+                                              kTxnsPerClient));
+  ExpectEachWriteCommitCountedOnce(write_txns);
+}
+
+// --- Per-partition gauges ----------------------------------------------------
+
+TEST_F(ShardTest, DroppedOrMovedPartitionLeavesNoGauges) {
+  ScopedMetrics metrics;
+  StartBoth();
+  auto source = a_.NewClient(&transport_);
+  auto target = b_.NewClient(&transport_);
+  auto kept = source->PartitionCreate("kept");
+  auto gone = source->PartitionCreate("gone");
+  ASSERT_TRUE(kept.ok() && gone.ok());
+
+  // Gauges are process-wide, so only node a's snapshots are fetched: a
+  // node publishes the gauges of the partitions it serves.
+  std::map<std::string, double> gauges;
+  auto fetch = [&] {
+    auto snapshot = source->FetchStats();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    gauges = snapshot->gauges;
+  };
+  auto fields_of = [&](PartitionId pid) {
+    const std::string prefix = "shard.partition." + std::to_string(pid) + ".";
+    std::vector<std::string> fields;
+    for (const auto& [name, value] : gauges) {
+      if (name.compare(0, prefix.size(), prefix) == 0) {
+        fields.push_back(name.substr(prefix.size()));
+      }
+    }
+    return fields;
+  };
+  const std::vector<std::string> kFields = {"commits", "sessions", "state"};
+
+  fetch();
+  EXPECT_EQ(fields_of(*gone), kFields);
+  EXPECT_EQ(gauges["shard.partitions"], 2);
+
+  ASSERT_TRUE(source->PartitionDrop("gone").ok());
+  fetch();
+  EXPECT_TRUE(fields_of(*gone).empty());
+  EXPECT_EQ(fields_of(*kept), kFields);
+  EXPECT_EQ(gauges["shard.partitions"], 1);
+
+  // kHandoffFinish stops serving the moved partition here.
+  ASSERT_TRUE(
+      MovePartition(*source, *target, "kept", b_.server()->address()).ok());
+  fetch();
+  EXPECT_TRUE(fields_of(*kept).empty());
+  EXPECT_EQ(gauges["shard.partitions"], 0);
 }
 
 // --- Live hand-off -----------------------------------------------------------
